@@ -18,9 +18,7 @@ Two questions, one artifact (``BENCH_analytic.json``):
 """
 
 import gc
-import json
 import time
-from pathlib import Path
 
 import pytest
 
@@ -34,7 +32,7 @@ from repro.kernels.workloads import prepare_dotp
 from repro.obs.report import stamp_bench
 from repro.simulator.fleet import FleetEngine
 
-ARTIFACT = Path("BENCH_analytic.json")
+ARTIFACT = "BENCH_analytic.json"
 
 #: The paper's exhaustive sweep axes (fig. 7-9).
 GRID_CAPACITIES = (1, 2, 4, 8)
@@ -72,19 +70,17 @@ def _fresh_stores():
 
 
 @pytest.fixture(scope="module", autouse=True)
-def _emit_artifact():
+def _emit_artifact(write_bench):
     """Write the error/throughput artifact after the benchmarks ran."""
     yield
     if not _RESULTS:
         return
-    payload = stamp_bench({
+    write_bench(ARTIFACT, stamp_bench({
         "benchmark": "analytic tier-0 vs fast vs batched",
         "generated_unix": int(time.time()),
         "workloads": _RESULTS.get("workloads", {}),
         "throughput": _RESULTS.get("throughput", {}),
-    })
-    ARTIFACT.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
+    }))
 
 
 def test_error_distribution_within_declared_bounds():

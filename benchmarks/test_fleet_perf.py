@@ -19,9 +19,7 @@ lanes retire at different cycles.
 """
 
 import gc
-import json
 import time
-from pathlib import Path
 
 import pytest
 
@@ -31,7 +29,7 @@ from repro.obs.report import stamp_bench
 from repro.simulator.fast import FastEngine
 from repro.simulator.fleet import FleetEngine
 
-ARTIFACT = Path("BENCH_fleet.json")
+ARTIFACT = "BENCH_fleet.json"
 
 _RESULTS: dict[str, dict] = {}
 
@@ -45,18 +43,16 @@ def _warmup():
 
 
 @pytest.fixture(scope="module", autouse=True)
-def _emit_artifact():
+def _emit_artifact(write_bench):
     """Write the speedup artifact after the module's benchmarks ran."""
     yield
     if not _RESULTS:
         return
-    payload = stamp_bench({
+    write_bench(ARTIFACT, stamp_bench({
         "benchmark": "fleet batched-vs-fast",
         "generated_unix": int(time.time()),
         "results": _RESULTS,
-    })
-    ARTIFACT.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
+    }))
 
 
 def _snapshot(cluster, result):

@@ -10,10 +10,8 @@ artifact the benchmarks CI job uploads, so throughput regressions show
 up in the log without failing the job on timing variance.
 """
 
-import json
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
@@ -22,7 +20,7 @@ from repro.service import ReproService
 from repro.obs.report import stamp_bench
 from repro.sweep import SweepSpec
 
-ARTIFACT = Path("BENCH_service.json")
+ARTIFACT = "BENCH_service.json"
 
 #: 4 capacities x 2 flows x 7 bandwidths = 56 design points.
 GRID = SweepSpec(bandwidths=(2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0))
@@ -35,18 +33,16 @@ _RESULTS: dict[str, dict] = {}
 
 
 @pytest.fixture(scope="module", autouse=True)
-def _emit_artifact():
+def _emit_artifact(write_bench):
     """Write the throughput trajectory after the module's benchmarks ran."""
     yield
     if not _RESULTS:
         return
-    payload = stamp_bench({
+    write_bench(ARTIFACT, stamp_bench({
         "benchmark": "service warm-cache throughput",
         "generated_unix": int(time.time()),
         "results": _RESULTS,
-    })
-    ARTIFACT.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
+    }))
 
 
 def _count_evaluations(service: ReproService) -> list:

@@ -10,9 +10,7 @@ regressions show up in the log without ever failing the job on timing
 variance.
 """
 
-import json
 import time
-from pathlib import Path
 
 import pytest
 
@@ -30,7 +28,7 @@ from repro.kernels.workloads import (
 from repro.obs.report import stamp_bench
 from repro.simulator.memsys import OffChipMemory
 
-ARTIFACT = Path("BENCH_sim.json")
+ARTIFACT = "BENCH_sim.json"
 
 _RESULTS: dict[str, dict] = {}
 
@@ -44,18 +42,16 @@ def _warmup():
 
 
 @pytest.fixture(scope="module", autouse=True)
-def _emit_artifact():
+def _emit_artifact(write_bench):
     """Write the speedup trajectory after the module's benchmarks ran."""
     yield
     if not _RESULTS:
         return
-    payload = stamp_bench({
+    write_bench(ARTIFACT, stamp_bench({
         "benchmark": "simulator fast-vs-reference",
         "generated_unix": int(time.time()),
         "workloads": _RESULTS,
-    })
-    ARTIFACT.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
+    }))
 
 
 def _race(name: str, runner, rounds: int = 3) -> None:

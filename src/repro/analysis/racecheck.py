@@ -18,8 +18,9 @@ detector that gets ignored.
 What is checked:
 
 * **Unguarded cache-file writes** — ``atomic_append`` (or a sidecar
-  replace) on ``results.jsonl``/``stages.jsonl``/``stats.json``
-  without the matching ``.lock`` sidecar held by this thread.
+  replace) on ``results.jsonl``/``stages.jsonl``/``calibrations.jsonl``/
+  ``stats.json`` without the matching ``.lock`` sidecar held by this
+  thread.
 * **Lock-order inversions** — acquiring lock *B* while holding *A*
   records the edge A→B; a later acquisition of *A* while holding *B*
   is a cycle, i.e. a latent deadlock between concurrent writers.
@@ -58,6 +59,7 @@ ENV_VAR = "REPRO_RACE_CHECK"
 GUARDED_FILES = {
     "results.jsonl": "results.lock",
     "stages.jsonl": "stages.lock",
+    "calibrations.jsonl": "calibrations.lock",
     "stats.json": "stats.lock",
 }
 

@@ -2,9 +2,10 @@
 
 The multi-writer disk tiers stay torn-line- and duplicate-free only
 because every byte that lands in ``results.jsonl`` / ``stages.jsonl`` /
-``stats.json`` goes through the guarded helpers: a single ``os.write``
-on an ``O_APPEND`` fd (``atomic_append``) under the sidecar flock, or
-the locked tmp-write + rename in ``_merge_sidecar``.  A raw
+``calibrations.jsonl`` / ``stats.json`` goes through the guarded
+helpers: ``Journal.append`` (a single ``os.write`` on an ``O_APPEND``
+fd via ``atomic_append``, under the sidecar flock), or the locked
+tmp-write + rename in ``_merge_sidecar``.  A raw
 ``open(..., "w")`` anywhere else can interleave with a concurrent
 appender and corrupt the cache for every process sharing it.
 
@@ -33,15 +34,10 @@ WRITE_MODES = set("wax+")
 #: Guarded helpers, keyed by module-path suffix.  Only these may touch
 #: the cache data files directly.
 ALLOWED_WRITERS = {
-    "repro/sweep/cache.py": {"atomic_append", "ResultCache.put"},
-    "repro/engine/cache.py": {
-        "StageCache._append",
-        "_merge_sidecar",
-        "cache_clear",
-        "cache_gc",
-        "_gc_stage_file",
+    "repro/sweep/cache.py": {
+        "atomic_append", "Journal.append", "Journal.rewrite",
     },
-    "repro/analytic/store.py": {"CalibrationStore.put"},
+    "repro/engine/cache.py": {"_merge_sidecar", "cache_clear"},
 }
 
 
@@ -135,8 +131,9 @@ class CacheWriteDiscipline(BaseLint):
                         node,
                         f"{qualname} calls atomic_append directly; outside the "
                         f"guarded helpers nothing holds the sidecar lock",
-                        hint="go through ResultCache.put / StageCache._append, "
-                        "or hold _FileLock on the matching .lock sidecar",
+                        hint="go through Journal.append (the stores' put "
+                        "methods), or hold _FileLock on the matching .lock "
+                        "sidecar",
                     )
                     continue
                 label = _is_write_call(node, imports)
@@ -146,6 +143,6 @@ class CacheWriteDiscipline(BaseLint):
                         node,
                         f"{qualname} writes a cache data file via {label} "
                         f"outside the guarded helpers in engine/cache.py",
-                        hint="use ResultCache.put / StageCache._append / "
+                        hint="use Journal.append (the stores' put methods) / "
                         "_merge_sidecar; raw writes race concurrent appenders",
                     )

@@ -2,8 +2,9 @@
 
 Fitted overhead factors live in ``calibrations.jsonl`` alongside the
 stage cache — the same append-only, torn-line-tolerant, lock-guarded
-JSONL discipline as ``stages.jsonl`` — so concurrent workers share one
-calibration per (workload, arch-class) instead of re-fitting.
+:class:`~repro.sweep.cache.Journal` as ``stages.jsonl`` — so concurrent
+workers share one calibration per (workload, arch-class) instead of
+re-fitting.
 
 Each record is content-addressed: its key digests the *question* that
 was calibrated (workload, arch-class, calibration protocol, code model
@@ -19,12 +20,11 @@ from __future__ import annotations
 import atexit
 import hashlib
 import json
-import threading
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from ..sweep.cache import _FileLock, atomic_append
+from ..sweep.cache import Journal
 
 #: Scenario fields identifying a calibration arch-class.  A deliberate
 #: subset of ``Scenario.cycles_dict``: the fields that change what the
@@ -155,11 +155,12 @@ class CalibrationRecord:
 class CalibrationStore:
     """Append-only JSONL store of :class:`CalibrationRecord` artifacts.
 
-    Mirrors :class:`~repro.engine.cache.StageCache`: an in-process dict
-    backed by ``calibrations.jsonl``, offset-tracked tail reads that
-    skip torn lines, and locked read-check-append writes so concurrent
-    fitters converge on one record per key.  ``root=None`` keeps the
-    store purely in-memory (calibrations then last one process).
+    A typed index over a :class:`~repro.sweep.cache.Journal` on
+    ``calibrations.jsonl``, like the engine's ``StageCache``: tail reads
+    skip torn lines, and locked read-check-append writes make
+    concurrent fitters converge on one record per key.  ``root=None``
+    keeps the store purely in-memory (calibrations then last one
+    process).
 
     Args:
         root: Cache directory shared with the stage cache, or ``None``.
@@ -173,45 +174,15 @@ class CalibrationStore:
         if self.root is not None:
             self.root.mkdir(parents=True, exist_ok=True)
         self.path = self.root / self.FILENAME if self.root else None
-        self._records: dict[str, CalibrationRecord] = {}
-        self._offset = 0
-        self._lock = threading.Lock()
-        self._read_tail()
+        self.journal = Journal(self.path, _calibration_entry)
+        self._records = self.journal.index
 
     def __len__(self) -> int:
         return len(self._records)
 
-    def _read_tail(self) -> int:
-        """Parse records appended since the last read (torn-line safe)."""
-        if self.path is None or not self.path.exists():
-            return 0
-        with self.path.open("rb") as fh:
-            fh.seek(self._offset)
-            data = fh.read()
-        if not data:
-            return 0
-        end = data.rfind(b"\n")
-        if end < 0:
-            return 0
-        added = 0
-        for raw in data[: end + 1].splitlines():
-            line = raw.decode("utf-8", errors="replace").strip()
-            if not line:
-                continue
-            try:
-                record = CalibrationRecord.from_json(json.loads(line))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                continue  # torn or foreign line
-            if record.key not in self._records:
-                added += 1
-            self._records[record.key] = record
-        self._offset += end + 1
-        return added
-
     def refresh(self) -> int:
         """Fold records appended by other writers into this process."""
-        with self._lock:
-            return self._read_tail()
+        return self.journal.refresh()
 
     def get(self, key: str) -> Optional[CalibrationRecord]:
         """The live record for ``key``, or ``None``.
@@ -223,9 +194,8 @@ class CalibrationStore:
         from ..api.scenario import CODE_MODEL_VERSION
 
         record = self._records.get(key)
-        if record is None and self.path is not None:
-            with self._lock:
-                self._read_tail()
+        if record is None:
+            self.journal.refresh()
             record = self._records.get(key)
         if record is None or record.is_stale(CODE_MODEL_VERSION):
             return None
@@ -233,16 +203,13 @@ class CalibrationStore:
 
     def put(self, record: CalibrationRecord) -> None:
         """Persist a freshly-fitted record (locked read-check-append)."""
-        if self.path is None:
-            self._records[record.key] = record
-            return
-        line = json.dumps(record.to_json(), sort_keys=True) + "\n"
         try:
-            with self._lock, _FileLock(self.root / self.LOCKNAME):
-                self._read_tail()
-                if record.key not in self._records:
-                    atomic_append(self.path, line)
-                    self._read_tail()
+            self.journal.append(
+                record.key,
+                record,
+                record.to_json(),
+                present=lambda existing: existing is not None,
+            )
         except OSError:
             pass
         # A re-fit must shadow a stale record under the same key even if
@@ -259,6 +226,11 @@ class CalibrationStore:
     def inject(self, record: CalibrationRecord) -> None:
         """Force a record into the in-process view (tests: staleness)."""
         self._records[record.key] = record
+
+
+def _calibration_entry(record: dict):
+    entry = CalibrationRecord.from_json(record)
+    return entry.key, entry
 
 
 #: Process-wide stores, one per cache directory (plus one in-memory

@@ -12,9 +12,9 @@ error bound is violated.
 
 Every outcome is counted twice: process-wide observability counters
 (``repro_analytic_*`` in ``/v1/metrics``) and per-cache-root deltas
-flushed batch-wise into the stats sidecar by
-:func:`flush_analytic_stats` (the same race-safe merge as the batch
-counters, never on the per-prediction hot path).
+folded batch-wise into the stats sidecar by the engine's record-tier
+flush (:func:`take_pending_stats`; :func:`flush_analytic_stats` at
+exit), never on the per-prediction hot path.
 """
 
 from __future__ import annotations
@@ -28,8 +28,11 @@ from ..obs.metrics import counter
 from .calibrate import ensure_calibrated
 from .store import calibration_store_for
 
-#: True inside a ``Pipeline(engine="analytic")`` run.
-_FORCE_TIER: ContextVar[bool] = ContextVar("repro_analytic_tier", default=False)
+#: True/False inside an :func:`analytic_engine` block (a pipeline's
+#: explicit engine opens one); None defers to the process default.
+_FORCE_TIER: ContextVar[Optional[bool]] = ContextVar(
+    "repro_analytic_tier", default=None
+)
 
 _PREDICTIONS = counter(
     "repro_analytic_predictions_total",
@@ -51,27 +54,27 @@ _FLUSH_REGISTERED: set[str] = set()
 
 
 @contextmanager
-def analytic_engine():
-    """Force the analytic tier for the dynamic extent of a block."""
-    token = _FORCE_TIER.set(True)
+def analytic_engine(active: bool = True):
+    """Force the analytic tier on (or, with ``active=False``, off) for
+    the dynamic extent of a block."""
+    token = _FORCE_TIER.set(active)
     try:
         yield
     finally:
         _FORCE_TIER.reset(token)
 
 
-def analytic_forced() -> bool:
-    """Whether an :func:`analytic_engine` block is active."""
-    return _FORCE_TIER.get()
-
-
 def analytic_mode_active(workload: str) -> bool:
     """Whether tier-0 should serve ``workload`` right now.
 
-    The mode check runs first so the default path never touches (and
-    never seeds) the predictor registry.
+    The one check behind both the cycles the pipeline serves and the
+    ``evaluation_tier`` key marker.  The mode check runs first so the
+    default path never touches (and never seeds) the predictor registry.
     """
-    if not _FORCE_TIER.get():
+    forced = _FORCE_TIER.get()
+    if forced is False:
+        return False
+    if forced is None:
         from ..simulator.engine import default_sim_engine
 
         if default_sim_engine() != "analytic":
@@ -106,25 +109,25 @@ def _count(root: Optional[str], field: str, obs_counter) -> None:
             )
 
 
+def take_pending_stats(root: str) -> dict[str, int]:
+    """Pop ``root``'s pending counter deltas (for ``TieredCache``'s merge)."""
+    with _PENDING_LOCK:
+        return _PENDING.pop(root, {})
+
+
 def flush_analytic_stats(root: str | None = None) -> None:
     """Merge pending analytic counter deltas into sidecar stats files.
 
-    Called by ``Engine.run_many`` after each batch (for its own cache
-    root) and at process exit; with ``root=None`` every pending root is
-    flushed.  Zero-delta roots never touch the filesystem.
+    Runs at process exit (and on demand); with ``root=None`` every
+    pending root is flushed.  Zero-delta roots never touch the
+    filesystem.
     """
-    from ..engine.cache import record_analytic_stats
+    from ..engine.cache import record_stats
 
     with _PENDING_LOCK:
         roots = [root] if root is not None else list(_PENDING)
-        deltas = [(r, _PENDING.pop(r)) for r in roots if r in _PENDING]
-    for target, delta in deltas:
-        record_analytic_stats(
-            target,
-            predictions=delta["analytic_predictions"],
-            calibrations=delta["analytic_calibrations"],
-            fallbacks=delta["analytic_fallbacks"],
-        )
+    for target in roots:
+        record_stats(target, take_pending_stats(target))
 
 
 def predict_cycles(scenario, root: str | None = None) -> Optional[float]:

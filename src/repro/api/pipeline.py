@@ -212,36 +212,29 @@ class Pipeline:
 
     @contextmanager
     def _engine_scope(self):
-        """Apply this pipeline's engine override for one stage's extent."""
+        """Apply this pipeline's engine override for one stage's extent
+        (a simulation engine also disarms an enclosing analytic scope)."""
         if self.engine is None:
             yield
-        elif self.engine == "analytic":
-            from ..analytic.tier import analytic_engine
+            return
+        from ..analytic.tier import analytic_engine
+        from ..simulator.engine import set_default_sim_engine
 
-            with analytic_engine():
+        analytic = self.engine == "analytic"
+        previous = None if analytic else set_default_sim_engine(self.engine)
+        try:
+            with analytic_engine(analytic):
                 yield
-        else:
-            from ..simulator.engine import set_default_sim_engine
-
-            previous = set_default_sim_engine(self.engine)
-            try:
-                yield
-            finally:
+        finally:
+            if previous is not None:
                 set_default_sim_engine(previous)
 
     def _tier0_cycles(self, scenario: Scenario) -> Optional[float]:
         """A tier-0 prediction, or ``None`` when this run must simulate.
 
-        The cheap mode checks run first so the default path neither
-        imports the analytic tier nor seeds the predictor registry.
+        Decided by the check that puts the ``evaluation_tier`` marker
+        into the scenario's keys, so the cycles always match the key.
         """
-        if self.engine != "analytic":
-            if self.engine is not None:
-                return None
-            from ..simulator.engine import default_sim_engine
-
-            if default_sim_engine() != "analytic":
-                return None
         from ..analytic.tier import analytic_mode_active, predict_cycles
 
         if not analytic_mode_active(scenario.workload):

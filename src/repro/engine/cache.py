@@ -30,6 +30,7 @@ from __future__ import annotations
 import atexit
 import json
 import os
+import sys
 import threading
 import time
 from collections import OrderedDict
@@ -37,7 +38,7 @@ from pathlib import Path
 from typing import Optional
 
 from ..analysis import racecheck as _racecheck
-from ..sweep.cache import ResultCache, _FileLock, atomic_append
+from ..sweep.cache import Journal, ResultCache, _FileLock
 from ..sweep.spec import Job
 
 #: Default bound of the in-memory tier.  Records are small dicts (a few
@@ -189,10 +190,13 @@ class TieredCache:
         In-process counters stay cumulative (callers diff them across
         batches); only the delta reaches disk.  A no-op without a disk
         tier.  Called by the engine once per batch, so the per-lookup
-        hot path never touches the filesystem.  With a nonzero
-        ``stats_flush_interval_s`` the delta keeps accumulating until
-        the interval elapses (or ``force=True`` drains it), so per-batch
-        callers never serialise on the sidecar lock.
+        hot path never touches the filesystem.  The same merge carries
+        the growth of the directory's :class:`StageCache` and any
+        pending analytic-tier counters, so a due flush is one locked
+        rewrite of ``stats.json``.  With a nonzero
+        ``stats_flush_interval_s`` the deltas keep accumulating until
+        the interval elapses (or ``force=True`` drains them), so
+        per-batch callers never serialise on the sidecar lock.
         """
         if self.disk is None:
             self._flushed = self.counters()
@@ -204,15 +208,25 @@ class TieredCache:
             and now - self._last_sidecar_merge < self.stats_flush_interval_s
         ):
             return
-        counters = self.counters()
-        delta = {
-            name: counters[name] - self._flushed[name] for name in _COUNTER_KEYS
-        }
-        self._flushed = counters
-        self._last_sidecar_merge = now
-        if not any(delta.values()):
-            return
-        _merge_sidecar(self.disk.root / STATS_FILENAME, delta)
+        with self._lock:
+            counters = self.counters()
+            delta = {
+                name: counters[name] - self._flushed[name]
+                for name in _COUNTER_KEYS
+            }
+            self._flushed = counters
+            self._last_sidecar_merge = now
+        root = str(self.disk.root)
+        stages = _STAGE_CACHES.get(root)
+        if stages is not None:
+            delta.update(stages.take_delta())
+        # Only a loaded analytic tier can have pending counters; looking
+        # it up keeps the tier unimported on non-analytic runs.
+        tier = sys.modules.get("repro.analytic.tier")
+        if tier is not None:
+            delta.update(tier.take_pending_stats(root))
+        if any(delta.values()):
+            _merge_sidecar(self.disk.root / STATS_FILENAME, delta)
 
 
 class StageCache:
@@ -222,11 +236,10 @@ class StageCache:
     :attr:`~repro.api.scenario.Scenario.physical_key` to a
     :class:`~repro.core.metrics.GroupResult`, and ``cycles`` maps
     :attr:`~repro.api.scenario.Scenario.cycles_key` to a cycle count.
-    Values live in an in-process dict backed by an append-only JSONL
-    file (``stages.jsonl``) inside the cache directory, shared with the
-    record cache; worker processes each load the file once and append
-    their own computations (torn lines are skipped on load, exactly like
-    the record cache).
+    Values live in a :class:`~repro.sweep.cache.Journal` index backed by
+    an append-only JSONL file (``stages.jsonl``) inside the cache
+    directory, shared with the record cache; worker processes each load
+    the file once and append their own computations.
 
     Args:
         root: Cache directory, or ``None`` for a purely in-memory memo.
@@ -240,79 +253,40 @@ class StageCache:
         if self.root is not None:
             self.root.mkdir(parents=True, exist_ok=True)
         self.path = self.root / self.FILENAME if self.root else None
-        self._values: dict[str, object] = {}
-        self._stages: dict[str, str] = {}  # key -> stage name (for merges)
+        self.journal = Journal(self.path, _stage_entry)
+        self._entries = self.journal.index  # key -> (stage, raw value)
         self._physical: dict[str, object] = {}  # materialized GroupResults
-        self._offset = 0
         self.physical_hits = 0
         self.physical_evals = 0
         self.cycles_hits = 0
         self.cycles_evals = 0
         self._flushed = dict.fromkeys(STAGE_COUNTER_KEYS, 0)
         self._flush_lock = threading.Lock()
-        self._read_tail()
 
     def __len__(self) -> int:
-        return len(self._values)
-
-    def _read_tail(self) -> int:
-        """Parse memo lines appended since the last read (see ResultCache).
-
-        Only complete lines advance the offset; a trailing fragment may
-        be another writer's append in flight and is retried next call.
-        """
-        if self.path is None or not self.path.exists():
-            return 0
-        with self.path.open("rb") as fh:
-            fh.seek(self._offset)
-            data = fh.read()
-        if not data:
-            return 0
-        end = data.rfind(b"\n")
-        if end < 0:
-            return 0
-        added = 0
-        for raw in data[: end + 1].splitlines():
-            line = raw.decode("utf-8", errors="replace").strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn write from an interrupted run
-            key = record.get("key")
-            if key and "value" in record:
-                if key not in self._values:
-                    added += 1
-                self._values[key] = record["value"]
-                self._stages[key] = record.get("stage", "cycles")
-        self._offset += end + 1
-        return added
+        return len(self._entries)
 
     def items(self):
         """Snapshot of ``(key, raw value)`` pairs (counters untouched)."""
-        return list(self._values.items())
+        return [(key, entry[1]) for key, entry in self._entries.items()]
 
     def peek(self, key: str):
         """The raw memoized value for ``key`` (counters untouched)."""
-        return self._values.get(key)
+        entry = self._entries.get(key)
+        return entry[1] if entry is not None else None
 
     def stage_of(self, key: str) -> str:
         """Which stage (``physical``/``cycles``) a memo key belongs to."""
-        return self._stages.get(key, "cycles")
+        entry = self._entries.get(key)
+        return entry[0] if entry is not None else "cycles"
 
     def refresh(self) -> int:
         """Fold memos appended by other writers into the in-process view."""
-        with self._flush_lock:
-            return self._read_tail()
+        return self.journal.refresh()
 
     def _append(self, stage: str, key: str, value) -> None:
         from ..api.scenario import CODE_MODEL_VERSION
 
-        if self.path is None:
-            self._values[key] = value
-            self._stages[key] = stage
-            return
         record = {
             "stage": stage,
             "key": key,
@@ -320,22 +294,9 @@ class StageCache:
             "model_version": CODE_MODEL_VERSION,
         }
         try:
-            # Locked read-check-append: the tail another worker wrote is
-            # folded in first, so a stage memoized concurrently is not
-            # appended twice, and the single O_APPEND write keeps lines
-            # whole under concurrency.  A failed append only costs a
-            # recomputation later.
-            with self._flush_lock, _FileLock(self.root / self.LOCKNAME):
-                self._read_tail()
-                if self._values.get(key) != value:
-                    atomic_append(
-                        self.path, json.dumps(record, sort_keys=True) + "\n"
-                    )
-                    self._read_tail()
-        except OSError:
-            pass
-        self._values[key] = value
-        self._stages[key] = stage
+            self.journal.append(key, (stage, value), record)
+        except OSError:  # only costs a recomputation later
+            self._entries[key] = (stage, value)
 
     # -- physical stage -------------------------------------------------
     def get_physical(self, key: str):
@@ -344,12 +305,12 @@ class StageCache:
         if result is not None:
             self.physical_hits += 1
             return result
-        raw = self._values.get(key)
-        if raw is None:
+        entry = self._entries.get(key)
+        if entry is None:
             return None
         from ..core.metrics import GroupResult
 
-        result = GroupResult(**raw)
+        result = GroupResult(**entry[1])
         self._physical[key] = result
         self.physical_hits += 1
         return result
@@ -365,11 +326,11 @@ class StageCache:
     # -- cycles stage ---------------------------------------------------
     def get_cycles(self, key: str) -> Optional[float]:
         """The memoized workload cycle count for ``key``, or ``None``."""
-        raw = self._values.get(key)
-        if raw is None:
+        entry = self._entries.get(key)
+        if entry is None:
             return None
         self.cycles_hits += 1
-        return float(raw)  # type: ignore[arg-type]
+        return float(entry[1])
 
     def put_cycles(self, key: str, cycles: float) -> None:
         """Memoize a freshly-evaluated workload cycle count."""
@@ -381,12 +342,10 @@ class StageCache:
         """The current in-process stage counter values."""
         return {name: getattr(self, name) for name in STAGE_COUNTER_KEYS}
 
-    def flush_stats(self) -> None:
-        """Merge counter growth since the last flush into the sidecar.
+    def take_delta(self) -> dict[str, int]:
+        """Counter growth since the last take (the sidecar's next delta).
 
-        Same delta contract as :meth:`TieredCache.flush_stats`; both
-        tiers share one ``stats.json``, under disjoint counter names.
-        The delta snapshot is taken under a lock, so concurrent flushes
+        The snapshot is taken under a lock, so concurrent takers
         (thread-backend engines sharing one process-wide cache) never
         double-count an increment.
         """
@@ -397,9 +356,25 @@ class StageCache:
                 for name in STAGE_COUNTER_KEYS
             }
             self._flushed = counters
-            if self.root is None or not any(delta.values()):
-                return
-            _merge_sidecar(self.root / STATS_FILENAME, delta)
+        return delta
+
+    def flush_stats(self) -> None:
+        """Merge counter growth since the last flush into the sidecar.
+
+        The engine folds this delta into :meth:`TieredCache.flush_stats`;
+        this standalone flush serves pool workers at exit.  Both share
+        one ``stats.json``, under disjoint counter names.
+        """
+        delta = self.take_delta()
+        if self.root is not None:
+            record_stats(self.root, delta)
+
+
+def _stage_entry(record: dict):
+    key = record.get("key")
+    if not key or "value" not in record:
+        return None
+    return key, (record.get("stage", "cycles"), record["value"])
 
 
 #: Process-wide stage caches, one per cache directory: serial runs and
@@ -411,13 +386,14 @@ _STAGE_CACHES: dict[str, StageCache] = {}
 def stage_cache_for(root: str | Path) -> StageCache:
     """The process-wide :class:`StageCache` for a cache directory.
 
-    Counter flushing is batch-wise, never per evaluation: the engine
-    flushes after each batch in its own process, and pool workers flush
-    once at process exit, so the per-job hot path never touches the
-    sidecar file.  Multiprocessing children skip ``atexit`` (they leave
-    via ``os._exit``), so the exit hook is registered with
-    ``multiprocessing.util.Finalize`` as well, which their bootstrap
-    does run; the delta-based flush makes running both a no-op.
+    Counter flushing is batch-wise, never per evaluation: the engine's
+    :meth:`TieredCache.flush_stats` carries this cache's delta in its
+    own process, and pool workers flush once at process exit, so the
+    per-job hot path never touches the sidecar file.  Multiprocessing
+    children skip ``atexit`` (they leave via ``os._exit``), so the exit
+    hook is registered with ``multiprocessing.util.Finalize`` as well,
+    which their bootstrap does run; the delta-based flush makes running
+    both a no-op.
     """
     from multiprocessing import util as mp_util
 
@@ -442,38 +418,21 @@ def record_batch_stats(
     service's ``GET /v1/cache`` surface the totals.  All-zero deltas are
     dropped without touching the filesystem.
     """
-    delta = {
+    record_stats(root, {
         "batches_formed": int(batches),
         "batch_lanes": int(lanes),
         "batch_fallbacks": int(fallbacks),
-    }
-    if not any(delta.values()) or not Path(root).is_dir():
-        return
-    _merge_sidecar(Path(root) / STATS_FILENAME, delta)
+    })
 
 
-def record_analytic_stats(
-    root: str | Path,
-    predictions: int = 0,
-    calibrations: int = 0,
-    fallbacks: int = 0,
-) -> None:
-    """Fold one analytic-tier run's counters into the sidecar.
+def record_stats(root: str | Path, delta: dict[str, int]) -> None:
+    """Fold counter deltas into ``root``'s sidecar (the locked merge).
 
-    Called by :func:`repro.analytic.tier.flush_analytic_stats` after an
-    engine batch (never per prediction), under the same locked merge as
-    every other counter family; ``repro cache stats`` and the service's
-    cache endpoint surface the totals.  All-zero deltas are dropped
+    All-zero deltas, and roots that are not directories, are dropped
     without touching the filesystem.
     """
-    delta = {
-        "analytic_predictions": int(predictions),
-        "analytic_calibrations": int(calibrations),
-        "analytic_fallbacks": int(fallbacks),
-    }
-    if not any(delta.values()) or not Path(root).is_dir():
-        return
-    _merge_sidecar(Path(root) / STATS_FILENAME, delta)
+    if any(delta.values()) and Path(root).is_dir():
+        _merge_sidecar(Path(root) / STATS_FILENAME, delta)
 
 
 def _merge_sidecar(path: Path, delta: dict[str, int]) -> None:
@@ -486,10 +445,8 @@ def _merge_sidecar(path: Path, delta: dict[str, int]) -> None:
     sees a torn file; where locking is unavailable a lost race drops a
     delta, which is acceptable for advisory counters.
     """
-    from ..sweep.cache import _FileLock
-
     with _FileLock(path.with_suffix(".lock")):
-        merged = {**_load_sidecar(path)}
+        merged = _load_sidecar(path)
         for name, value in delta.items():
             merged[name] = merged.get(name, 0) + value
         tmp = path.with_suffix(f".{os.getpid()}.tmp")
@@ -539,8 +496,6 @@ def merge_cache_dirs(src: str | Path, dst: str | Path) -> dict[str, int]:
 
 
 def _load_sidecar(path: Path) -> dict[str, int]:
-    if not path.exists():
-        return {}
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
     except (json.JSONDecodeError, OSError):
@@ -579,16 +534,13 @@ def cache_stats(root: str | Path) -> dict:
         for key in cache.keys():
             version = _record_version(cache.get(key))
             versions[version] = versions.get(version, 0) + 1
-    stage_entries = 0
-    stage_path = Path(root) / StageCache.FILENAME
-    if cache is not None and stage_path.exists():
-        stage_entries = len(StageCache(root))
-    calibration_entries = 0
     from ..analytic.store import CalibrationStore
 
-    cal_path = Path(root) / CalibrationStore.FILENAME
-    if cache is not None and cal_path.exists():
-        calibration_entries = len(CalibrationStore(root))
+    # Opening a journal creates no file, and the directory exists.
+    stage_entries = len(StageCache(root)) if cache is not None else 0
+    calibration_entries = (
+        len(CalibrationStore(root)) if cache is not None else 0
+    )
     batches = counters.get("batches_formed", 0)
     return {
         "path": str(Path(root) / ResultCache.FILENAME),
@@ -617,6 +569,8 @@ def cache_clear(root: str | Path) -> int:
 
     A missing cache directory is a no-op, never created.
     """
+    from ..analytic.store import CalibrationStore
+
     cache = _open_existing(root)
     if cache is None:
         return 0
@@ -624,16 +578,14 @@ def cache_clear(root: str | Path) -> int:
     # Each unlink runs under the file's own lock sidecar: a concurrent
     # appender holding the lock finishes (or waits) instead of writing
     # into an unlinked inode and silently losing its record.
-    with _FileLock(cache.root / ResultCache.LOCKNAME):
-        cache.path.unlink(missing_ok=True)
-    with _FileLock((cache.root / STATS_FILENAME).with_suffix(".lock")):
-        (cache.root / STATS_FILENAME).unlink(missing_ok=True)
-    with _FileLock(cache.root / StageCache.LOCKNAME):
-        (cache.root / StageCache.FILENAME).unlink(missing_ok=True)
-    from ..analytic.store import CalibrationStore
-
-    with _FileLock(cache.root / CalibrationStore.LOCKNAME):
-        (cache.root / CalibrationStore.FILENAME).unlink(missing_ok=True)
+    for data, lock in (
+        (ResultCache.FILENAME, ResultCache.LOCKNAME),
+        (STATS_FILENAME, "stats.lock"),
+        (StageCache.FILENAME, StageCache.LOCKNAME),
+        (CalibrationStore.FILENAME, CalibrationStore.LOCKNAME),
+    ):
+        with _FileLock(cache.root / lock):
+            (cache.root / data).unlink(missing_ok=True)
     return removed
 
 
@@ -678,53 +630,10 @@ def cache_gc(
 
     keep = keep_version or CODE_MODEL_VERSION
     cache = _open_existing(root)
-    if cache is None or not cache.path.exists():
+    if cache is None:
         return 0, 0
-    # The whole read-filter-rewrite must hold the append lock: an append
-    # landing between our snapshot and the rename would be erased by the
-    # replace.  refresh() under the lock adopts any record a concurrent
-    # writer got in before we won it.
-    with _FileLock(cache.root / ResultCache.LOCKNAME):
-        cache.refresh()
-        kept, pruned = [], 0
-        for key in cache.keys():
-            record = cache.get(key)
-            if _record_version(record) == keep:
-                kept.append(record)
-            else:
-                pruned += 1
-        tmp = cache.path.with_suffix(".tmp")
-        with tmp.open("w", encoding="utf-8") as fh:
-            for record in kept:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-        tmp.replace(cache.path)
-    _gc_stage_file(cache.root / StageCache.FILENAME, keep)
-    return len(kept), pruned
-
-
-def _gc_stage_file(path: Path, keep: str) -> None:
-    """Rewrite a stage memo file keeping only ``keep``-version entries.
-
-    Runs under the stage append lock for the same reason ``cache_gc``
-    does: an append between read and rename would otherwise be lost.
-    """
-    if not path.exists():
-        return
-    with _FileLock(path.parent / StageCache.LOCKNAME):
-        kept_lines = []
-        with path.open("r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if record.get("model_version") == keep:
-                    kept_lines.append(json.dumps(record, sort_keys=True))
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(
-            "".join(line + "\n" for line in kept_lines), encoding="utf-8"
-        )
-        tmp.replace(path)
+    counts = cache.journal.rewrite(lambda r: _record_version(r) == keep)
+    StageCache(cache.root).journal.rewrite(
+        lambda r: r.get("model_version") == keep
+    )
+    return counts

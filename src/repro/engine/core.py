@@ -20,7 +20,6 @@ engine's, so results are interchangeable across every layer.
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -194,9 +193,10 @@ class Engine:
     def stage_counters(self) -> Optional[dict[str, int]]:
         """This process's stage-cache counters, or ``None`` if disabled.
 
-        Pool workers keep their own counters; each evaluation batch
-        flushes its deltas into the cache directory's ``stats.json``
-        sidecar, which ``repro cache stats`` aggregates.
+        Pool workers keep their own counters and flush them at exit;
+        this process's deltas reach the cache directory's ``stats.json``
+        sidecar with each record-tier flush, and ``repro cache stats``
+        aggregates them.
         """
         if self.stage_root is None:
             return None
@@ -268,15 +268,7 @@ class Engine:
                         self._emit(record, done, total, callback)
                         yield jobs[record["key"]], record
         finally:
-            self.cache.flush_stats()
-            if self.stage_root is not None:
-                stage_cache_for(self.stage_root).flush_stats()
-                # Flush analytic-tier deltas without importing the tier
-                # on every (non-analytic) run: only a loaded module can
-                # have pending counters.
-                tier = sys.modules.get("repro.analytic.tier")
-                if tier is not None:
-                    tier.flush_analytic_stats(self.stage_root)
+            self.cache.flush_stats()  # one sidecar merge for every tier
 
     def _emit(
         self,

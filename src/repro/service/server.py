@@ -180,6 +180,8 @@ class ReproService:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.base_events.Server] = None
         self._stopped: Optional[asyncio.Event] = None
+        #: Open connections: handler task -> its stream writer.
+        self._conns: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self.started_unix = time.time()
         self._bind_metrics()
 
@@ -277,9 +279,22 @@ class ReproService:
             if install_signals:
                 self._loop.remove_signal_handler(signal.SIGTERM)
             self._server.close()
+            await self._close_connections()
             await self._server.wait_closed()
             self._runner.shutdown(wait=True)
             self.engine.cache.flush_stats(force=True)
+
+    async def _close_connections(self) -> None:
+        """Close every connection and let its handler return by itself.
+
+        The loop's teardown would cancel a handler still in
+        ``wait_closed``, and the stream protocol then logs a spurious
+        traceback; a handler busy past five seconds is left to it.
+        """
+        for writer in self._conns.values():
+            writer.close()
+        if self._conns:
+            await asyncio.wait(list(self._conns), timeout=5.0)
 
     def request_drain(self) -> None:
         """Refuse new work, finish active jobs, then stop (SIGTERM path)."""
@@ -362,6 +377,8 @@ class ReproService:
     async def _handle_conn(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._conns[task] = writer
         try:
             while True:
                 try:
@@ -405,6 +422,8 @@ class ReproService:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+            finally:
+                del self._conns[task]
 
     async def _dispatch(
         self,

@@ -263,6 +263,29 @@ class TestEngineTier0:
         # The analytic run must not be served from the tier-1 record.
         assert outcome.stats.evaluated == 1
 
+    def test_scope_serves_predictions_under_its_key_marker(self, tmp_path):
+        """Inside ``analytic_engine()`` a default pipeline predicts, so the
+        analytic-marked key never holds simulated cycles; an explicit
+        simulation engine inside the scope simulates under a plain key."""
+        from repro.engine import StageCache
+
+        scenario = Scenario(workload="dotp", matrix_dim=256, num_cores=16,
+                            capacity_mib=1)
+        simulated = Pipeline(engine="fast").run(scenario).cycles
+        predicted = Pipeline(engine="analytic").run(scenario).cycles
+        assert simulated != predicted  # the check below can tell them apart
+        plain_key = scenario.cycles_key
+        with analytic_engine():
+            record = Engine(backend="serial", cache=ResultCache(tmp_path)).run(
+                [scenario]).records[0]
+            scoped = Pipeline().run(scenario).cycles
+            stages = StageCache(tmp_path / "fast")
+            pinned = Pipeline(engine="fast", stage_cache=stages).run(scenario)
+        assert record["metrics"]["cycles"] == predicted
+        assert scoped == predicted
+        assert pinned.cycles == simulated
+        assert stages.peek(plain_key) == simulated
+
 
 class TestSuccessiveHalvingScreen:
     def _strategy(self, space, **options):

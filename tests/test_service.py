@@ -1,5 +1,6 @@
 """The serving layer end to end: HTTP API, job table, client SDK."""
 
+import logging
 import os
 import re
 import signal
@@ -185,6 +186,27 @@ class TestServiceEndToEnd:
             with pytest.raises(ServiceError) as excinfo:
                 client._request("POST", "/v1/runs", {"scenarios": []})
             assert excinfo.value.status == 400
+
+    def test_stop_after_client_disconnect_is_quiet(self, tmp_path, caplog):
+        """Stopping right after a client closes logs no handler traceback.
+
+        The handler of the just-closed connection may still be awaiting
+        ``wait_closed`` when the service stops; shutdown must let it
+        finish rather than cancel it (a cancelled handler makes the
+        stream protocol log ``CancelledError`` through the event loop's
+        exception handler).  The window is a race, so it is retried.
+        """
+        from repro.api import Scenario
+
+        cache = str(tmp_path / "cache")
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            for _ in range(10):
+                service = ReproService(port=0, cache_dir=cache)
+                with service.run_in_thread() as url:
+                    with ServiceClient(url) as client:
+                        client.run([Scenario(capacity_mib=1)])
+        assert [r.getMessage() for r in caplog.records
+                if r.name == "asyncio"] == []
 
     def test_client_connection_retry_and_failure(self):
         client = ServiceClient(

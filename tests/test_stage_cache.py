@@ -142,6 +142,55 @@ class TestEngineStageCache:
         assert engine.stage_counters() is None
 
 
+STAGE_COUNTERS = ("physical_hits", "physical_evals", "cycles_hits",
+                  "cycles_evals")
+
+
+def _sidecar_counters(root) -> dict:
+    stats = cache_stats(root)
+    return {name: stats[name] for name in
+            ("memory_hits", "disk_hits", "misses", "stores") + STAGE_COUNTERS}
+
+
+class TestSidecarFlush:
+    def test_one_sidecar_merge_per_batch(self, tmp_path, spec, monkeypatch):
+        from repro.engine import cache as cache_module
+
+        merges = []
+        real_merge = cache_module._merge_sidecar
+
+        def counting_merge(path, delta):
+            merges.append(dict(delta))
+            real_merge(path, delta)
+
+        monkeypatch.setattr(cache_module, "_merge_sidecar", counting_merge)
+        engine = Engine(cache=ResultCache(tmp_path))
+        engine.run(spec.jobs())
+        assert len(merges) == 1  # records and stage memo in one rewrite
+        sidecar = _sidecar_counters(tmp_path)
+        counters = engine.stage_counters()
+        assert {name: sidecar[name] for name in STAGE_COUNTERS} == counters
+        assert sidecar["misses"] == sidecar["stores"] == 12
+
+    def test_stage_delta_waits_for_the_flush_interval(self, tmp_path, spec):
+        from repro.engine import TieredCache
+
+        cache = TieredCache(disk=ResultCache(tmp_path),
+                            stats_flush_interval_s=3600.0)
+        engine = Engine(cache=cache)
+        jobs = list(spec.jobs())
+        engine.run(jobs[:6])  # the first flush is due at once
+        first = _sidecar_counters(tmp_path)
+        assert first["physical_evals"] > 0
+        engine.run(jobs[6:])  # inside the interval: nothing merged
+        assert _sidecar_counters(tmp_path) == first
+        cache.flush_stats(force=True)  # drains every tier
+        sidecar = _sidecar_counters(tmp_path)
+        counters = engine.stage_counters()
+        assert {name: sidecar[name] for name in STAGE_COUNTERS} == counters
+        assert sidecar["misses"] == sidecar["stores"] == 12
+
+
 class TestMaintenance:
     def test_stats_clear_and_gc_cover_the_stage_file(self, tmp_path, spec):
         Engine(cache=ResultCache(tmp_path)).run(spec.jobs())
