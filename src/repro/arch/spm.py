@@ -32,18 +32,16 @@ class SPMBank:
     The bank grants at most one access per cycle.  Callers must advance the
     bank's notion of time via :meth:`try_access` with the current cycle; a
     second access in the same cycle is refused and counted as a conflict.
+
+    Only written words are stored; an untouched word reads as 0, so a
+    bank costs nothing per word of capacity.
     """
 
     def __init__(self, words: int) -> None:
         if words <= 0:
             raise ValueError("bank must hold at least one word")
-        # Storage materializes on the first write: an untouched bank
-        # reads as zeros without allocating its word array, so cluster
-        # construction costs scale with the working set, not the SPM
-        # capacity (a 16 MiB instance would otherwise allocate 4M words
-        # up front for every evaluation).
         self._words = words
-        self._data: list[int] | None = None
+        self._data: dict[int, int] = {}  # offset -> word
         self._busy_cycle = -1
         self.stats = BankStats()
 
@@ -51,13 +49,6 @@ class SPMBank:
     def words(self) -> int:
         """Bank capacity in words."""
         return self._words
-
-    def _storage(self) -> list[int]:
-        """The backing word array, materialized on first use."""
-        data = self._data
-        if data is None:
-            data = self._data = [0] * self._words
-        return data
 
     def try_access(self, cycle: int, offset: int, write: bool, value: int = 0) -> tuple[bool, int]:
         """Attempt a single-cycle access.
@@ -83,31 +74,31 @@ class SPMBank:
             return False, 0
         self._busy_cycle = cycle
         if write:
-            self._storage()[offset] = value & 0xFFFFFFFF
+            self._data[offset] = value & 0xFFFFFFFF
             self.stats.writes += 1
             return True, 0
         self.stats.reads += 1
-        data = self._data
-        return True, data[offset] if data is not None else 0
+        return True, self._data.get(offset, 0)
 
     def peek(self, offset: int) -> int:
         """Read a word without simulating a port access (for test setup)."""
         if not 0 <= offset < self._words:
-            raise IndexError(
-                f"offset {offset} outside bank of {self._words} words"
-            )
-        data = self._data
-        return data[offset] if data is not None else 0
+            raise IndexError(f"offset {offset} outside bank of {self._words} words")
+        return self._data.get(offset, 0)
 
     def poke(self, offset: int, value: int) -> None:
         """Write a word without simulating a port access (for test setup)."""
-        self._storage()[offset] = value & 0xFFFFFFFF
+        if not 0 <= offset < self._words:
+            raise IndexError(f"offset {offset} outside bank of {self._words} words")
+        self._data[offset] = value & 0xFFFFFFFF
 
     # -- array-view accessors (fast simulator) -------------------------
     def export_words(self) -> list[int]:
         """A copy of the bank contents (no simulated port traffic)."""
-        data = self._data
-        return list(data) if data is not None else [0] * self._words
+        out = [0] * self._words
+        for offset, word in self._data.items():
+            out[offset] = word
+        return out
 
     def import_words(self, words) -> None:
         """Replace the bank contents in bulk (no simulated port traffic).
@@ -120,12 +111,7 @@ class SPMBank:
             raise ValueError(
                 f"expected {self._words} words, got {len(values)}"
             )
-        if self._data is None:
-            if not any(values):
-                return  # all zeros: stay unmaterialized
-            self._data = values
-        else:
-            self._data[:] = values
+        self._data = {offset: word for offset, word in enumerate(values) if word}
 
     @property
     def busy_cycle(self) -> int:

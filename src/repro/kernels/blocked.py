@@ -158,8 +158,8 @@ def run_blocked_matmul(
                 b_tile = b[bk * t:(bk + 1) * t, bj * t:(bj + 1) * t]
                 # Memory phase: both input tiles stream in.
                 memory_cycles += memory.load(plan.load_bytes_per_phase)
-                cluster.write_words(base_a, [int(v) & 0xFFFFFFFF for v in a_tile.flat])
-                cluster.write_words(base_b, [int(v) & 0xFFFFFFFF for v in b_tile.flat])
+                cluster.write_words(base_a, (a_tile & 0xFFFFFFFF).ravel().tolist())
+                cluster.write_words(base_b, (b_tile & 0xFFFFFFFF).ravel().tolist())
                 # Compute phase: accumulate on the simulated cluster.
                 cluster.load_program(program, num_cores=num_cores, scoreboard=scoreboard)
                 result = run_cluster(cluster, engine=sim_engine)

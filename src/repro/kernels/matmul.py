@@ -232,8 +232,8 @@ def run_matmul(
     expected = (a @ b) & 0xFFFFFFFF
 
     cluster = MemPoolCluster(config)
-    cluster.write_words(layout.base_a, [int(v) & 0xFFFFFFFF for v in a.flat])
-    cluster.write_words(layout.base_b, [int(v) & 0xFFFFFFFF for v in b.flat])
+    cluster.write_words(layout.base_a, (a & 0xFFFFFFFF).ravel().tolist())
+    cluster.write_words(layout.base_b, (b & 0xFFFFFFFF).ravel().tolist())
 
     if blocked:
         program = matmul_program_blocked(layout, num_cores)

@@ -305,8 +305,8 @@ def prepare_matvec(
     base_y = base_x + 4 * cols
 
     cluster = MemPoolCluster(config)
-    cluster.write_words(base_m, [int(v) & 0xFFFFFFFF for v in m.flat])
-    cluster.write_words(base_x, [int(v) & 0xFFFFFFFF for v in x])
+    cluster.write_words(base_m, (m & 0xFFFFFFFF).ravel().tolist())
+    cluster.write_words(base_x, (x & 0xFFFFFFFF).tolist())
     cluster.load_program(
         matvec_program(rows, cols, num_cores, base_m, base_x, base_y),
         num_cores=num_cores,
@@ -360,7 +360,7 @@ def prepare_stencil5(
     )
 
     cluster = MemPoolCluster(config)
-    cluster.write_words(base_in, [int(v) & 0xFFFFFFFF for v in image.flat])
+    cluster.write_words(base_in, (image & 0xFFFFFFFF).ravel().tolist())
     cluster.load_program(
         stencil5_program(width, height, num_cores, base_in, base_out),
         num_cores=num_cores,
@@ -407,8 +407,8 @@ def prepare_dotp(
     base_out = 8 * num_elements
 
     cluster = MemPoolCluster(config)
-    cluster.write_words(base_a, [int(v) & 0xFFFFFFFF for v in a])
-    cluster.write_words(base_b, [int(v) & 0xFFFFFFFF for v in b])
+    cluster.write_words(base_a, (a & 0xFFFFFFFF).tolist())
+    cluster.write_words(base_b, (b & 0xFFFFFFFF).tolist())
     cluster.load_program(
         dotp_program(num_elements, num_cores, base_a, base_b, base_out),
         num_cores=num_cores,
@@ -453,8 +453,8 @@ def prepare_axpy(
     base_x, base_y = 0, 4 * num_elements
 
     cluster = MemPoolCluster(config)
-    cluster.write_words(base_x, [int(v) & 0xFFFFFFFF for v in x])
-    cluster.write_words(base_y, [int(v) & 0xFFFFFFFF for v in y])
+    cluster.write_words(base_x, (x & 0xFFFFFFFF).tolist())
+    cluster.write_words(base_y, (y & 0xFFFFFFFF).tolist())
     cluster.load_program(
         axpy_program(num_elements, num_cores, scalar, base_x, base_y),
         num_cores=num_cores,
@@ -505,13 +505,13 @@ def prepare_conv2d(
     base_out = base_kernel + 4 * 9
 
     expected = np.zeros((out_h, out_w), dtype=np.int64)
-    for r in range(out_h):
-        for c in range(out_w):
-            expected[r, c] = int((image[r : r + 3, c : c + 3] * kernel).sum())
+    for dr in range(3):
+        for dc in range(3):
+            expected += kernel[dr, dc] * image[dr : dr + out_h, dc : dc + out_w]
 
     cluster = MemPoolCluster(config)
-    cluster.write_words(base_in, [int(v) & 0xFFFFFFFF for v in image.flat])
-    cluster.write_words(base_kernel, [int(v) & 0xFFFFFFFF for v in kernel.flat])
+    cluster.write_words(base_in, (image & 0xFFFFFFFF).ravel().tolist())
+    cluster.write_words(base_kernel, (kernel & 0xFFFFFFFF).ravel().tolist())
     cluster.load_program(
         conv2d_3x3_program(width, height, num_cores, base_in, base_kernel, base_out),
         num_cores=num_cores,

@@ -240,9 +240,10 @@ class FastEngine:
         words_stride = bpt * ntiles  # word index -> bank offset divisor
 
         # -- SPM image and arbitration state ----------------------------
-        # The memory image is lazy: words read through from the banks on
-        # first touch and write back at the end, so runs pay for their
-        # working set, not the full SPM capacity.
+        # The memory image holds only the words this run touches: a load
+        # reads through from its bank on first touch, and every touched
+        # word is poked back at the end.  Banks store only written words,
+        # so neither side grows with the SPM capacity.
         mem: dict[int, int] = {}
         flat_banks = [
             bank for tile in cluster.tiles for bank in tile.spm.banks

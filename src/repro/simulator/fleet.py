@@ -231,14 +231,6 @@ class FleetEngine:
             [bank for tile in c.tiles for bank in tile.spm.banks]
             for c in clusters
         ]
-        # Read-through snapshot of every bank's backing store.  Safe to
-        # take once: bank contents only change through the fleet itself,
-        # and the fleet writes them back (to ``_storage``) only after
-        # the owning lane retired.  ``None`` means unmaterialized — all
-        # zeros, exactly like SPMBank.peek.
-        self.bank_data_l = [
-            [bank._data for bank in banks] for banks in self.flat_banks_l
-        ]
         self.bank_busy = np.full((nlanes, self.bmax), -2, dtype=_I64)
         for lane, banks in enumerate(self.flat_banks_l):
             self.bank_busy[lane, : len(banks)] = [
@@ -265,13 +257,12 @@ class FleetEngine:
 
         # -- shared SPM image ------------------------------------------
         # One dense (lane x word) plane holding every lane's visible
-        # SPM contents over [0, mem_width): pre-filled from the bank
-        # snapshots with one strided assignment per materialized bank
-        # (unmaterialized banks read 0, exactly like SPMBank.peek), so
-        # loads are plain gathers.  ``dirty`` marks the stored-to
-        # subset: only those words can differ from the banks, so only
-        # they are poked back at lane write-back.  Accesses past the
-        # plane grow it, re-filling the new column range.
+        # SPM contents over [0, mem_width): pre-filled by peeking the
+        # banks (untouched words read 0), so loads are plain gathers.
+        # ``dirty`` marks the stored-to subset: only those words can
+        # differ from the banks, so only they are poked back at lane
+        # write-back.  Accesses past the plane grow it, re-filling the
+        # new column range.
         width = 1024
         self.mem_width = width
         self.mem_img = np.zeros((nlanes, width), dtype=_I64)
@@ -443,22 +434,18 @@ class FleetEngine:
         """Copy bank contents for words in [lo, mem_width) into the
         image plane.
 
-        Word ``w`` lives at index ``w // stride`` of bank
-        ``w % stride``, so stacking the per-bank prefixes and
-        transposing yields the words in address order — one array
-        conversion per lane instead of one per bank.
+        Word ``w`` lives at offset ``w // stride`` of bank
+        ``w % stride``, so offset ``k`` of every bank, in bank order,
+        is the run of words ``[k * stride, (k + 1) * stride)``.
         """
         hi = self.mem_width
         img = self.mem_img
-        for lane, banks in enumerate(self.bank_data_l):
+        for lane, banks in enumerate(self.flat_banks_l):
             stride = self.stride_py[lane]
             bank_words = int(self.spm_l[lane]) // 4 // stride
             kmax = min(-(-hi // stride), bank_words)
             for k in range(lo // stride, kmax):
-                col = np.asarray(
-                    [0 if s is None else s[k] for s in banks],
-                    dtype=_I64,
-                )
+                col = np.asarray([bank.peek(k) for bank in banks], dtype=_I64)
                 a = k * stride
                 b = min(a + stride, hi)
                 off = lo - a if lo > a else 0
@@ -1798,14 +1785,8 @@ class FleetEngine:
         stride = self.stride_py[lane]
         words = np.flatnonzero(self.dirty[lane])
         values = self.mem_img[lane, words].tolist()
-        storages: dict = {}
         for word, value in zip(words.tolist(), values):
-            flat = word % stride
-            storage = storages.get(flat)
-            if storage is None:
-                storage = banks[flat]._storage()
-                storages[flat] = storage
-            storage[word // stride] = value  # already 32-bit masked
+            banks[word % stride].poke(word // stride, value)
         busy = self.bank_busy[lane].tolist()
         reads = self.b_reads[lane].tolist()
         writes = self.b_writes[lane].tolist()

@@ -152,6 +152,48 @@ class TestMemPoolCluster:
         assert cluster.memory_map.spm_bytes == 1 << 20
 
 
+class TestLargestCapacity:
+    """8 MiB: 2,048-word banks, of which a workload touches a few."""
+
+    @pytest.fixture
+    def config(self):
+        return MemPoolConfig(capacity_mib=8, flow=Flow.FLOW_2D)
+
+    def test_setup_memory_does_not_grow_with_capacity(self, config):
+        import tracemalloc
+
+        # 2,048 words span every one of the 1,024 interleaved banks.
+        words = list(range(1, 2049))
+        tracemalloc.start()
+        try:
+            cluster = MemPoolCluster(config)
+            cluster.write_words(0, words)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+        assert cluster.read_words(0, len(words)) == words
+
+    def test_export_import_roundtrip(self, config):
+        cluster = MemPoolCluster(config)
+        words = list(range(1, 2049))
+        cluster.write_words(0, words)
+        top = config.spm_bytes - 4
+        cluster.write_words(top, [0xCAFEF00D])
+        image = cluster.export_spm()
+        assert image.size == config.spm_bytes // 4
+        assert image[: len(words)].tolist() == words
+        assert image[-1] == 0xCAFEF00D
+        assert not image[len(words) : -1].any()  # untouched words read 0
+
+        image[5] = 0
+        fresh = MemPoolCluster(config)
+        fresh.import_spm(image)
+        assert fresh.read_words(0, 8) == [1, 2, 3, 4, 5, 0, 7, 8]
+        assert fresh.read_words(top - 8, 3) == [0, 0, 0xCAFEF00D]
+        assert (fresh.export_spm() == image).all()
+
+
 class TestFabricRouter:
     def test_local_access_latency(self, config):
         cluster = MemPoolCluster(config)

@@ -17,6 +17,11 @@ from repro.core.config import Flow, MemPoolConfig
 from repro.kernels.blocked import run_blocked_matmul
 from repro.kernels.tiling import TilingPlan
 from repro.kernels.workloads import (
+    prepare_axpy,
+    prepare_conv2d,
+    prepare_dotp,
+    prepare_matvec,
+    prepare_stencil5,
     run_axpy,
     run_conv2d,
     run_dotp,
@@ -233,6 +238,78 @@ class TestEngineStateEquivalence:
             # with all participants arriving this terminates...
             result = run_cluster(cluster, max_cycles=500, engine=engine)
             assert result.barrier_episodes == 1
+
+
+# Operands past 1,024 words reach bank offsets beyond 0 of the
+# 1,024 interleaved banks.
+PREPARERS_8MIB = {
+    "dotp": lambda config, cores: prepare_dotp(config, 640, cores),
+    "axpy": lambda config, cores: prepare_axpy(config, 640, cores),
+    "conv2d": lambda config, cores: prepare_conv2d(config, 34, 34, cores),
+    "matvec": lambda config, cores: prepare_matvec(config, 36, 36, cores),
+    "stencil5": lambda config, cores: prepare_stencil5(config, 34, 34, cores),
+}
+
+
+def _top_of_spm_program(spm_bytes: int, cores: int):
+    """Each hart stores just below the top of the SPM, then, after a
+    barrier, reads its neighbour's word (the last hart reads the
+    untouched final word) and copies the sum below the stored block."""
+    b = ProgramBuilder()
+    b.csrr_hartid(1)
+    b.li(9, 4)
+    b.mul(9, 1, 9)
+    b.li(2, spm_bytes - 4 * (cores + 1))
+    b.add(2, 2, 9)  # x2 = this hart's word near the top
+    b.addi(3, 1, 100)
+    b.sw(3, 2, 0)
+    b.barrier()
+    b.lw(4, 2, 4)
+    b.lw(5, 2, 0)
+    b.add(4, 4, 5)
+    b.sw(4, 2, -4 * cores)
+    b.halt()
+    return b.build()
+
+
+class TestLargestCapacity:
+    """8 MiB SPM: 2,048-word banks, full-state diffs as above."""
+
+    @staticmethod
+    def _config():
+        return MemPoolConfig(capacity_mib=8, flow=Flow.FLOW_3D)
+
+    @pytest.mark.parametrize("workload", sorted(PREPARERS_8MIB))
+    def test_workload_full_state(self, workload):
+        finishes = []
+
+        def build():
+            cluster, finish = PREPARERS_8MIB[workload](self._config(), 16)
+            finishes.append(finish)
+            return cluster
+
+        ref = _diff_clusters(build, lambda _cluster: None)
+        assert all(finish(ref).correct for finish in finishes)
+
+    def test_top_of_spm_full_state(self):
+        config = self._config()
+        cores = 16
+        program = _top_of_spm_program(config.spm_bytes, cores)
+
+        def load(cluster):
+            cluster.load_program(program, num_cores=cores)
+
+        _diff_clusters(lambda: MemPoolCluster(config), load)
+        cluster = MemPoolCluster(config)
+        load(cluster)
+        run_cluster(cluster, engine="fast")
+        top = config.spm_bytes - 4 * (cores + 1)
+        assert cluster.read_words(top, cores + 1) == [
+            100 + hart for hart in range(cores)
+        ] + [0]
+        assert cluster.read_words(top - 4 * cores, cores) == [
+            2 * hart + 201 for hart in range(cores - 1)
+        ] + [100 + cores - 1]
 
 
 class TestDispatchAndFallback:

@@ -138,6 +138,50 @@ class TestFleetEquivalence:
             _assert_lane_identical(fast_pair, (cluster, out.result))
 
 
+def _top_of_spm_cluster(config, cores):
+    """Harts store just below the top of the SPM, then copy their
+    neighbour's word further down (the last hart's neighbour is the
+    untouched final word, which reads 0)."""
+    b = ProgramBuilder()
+    b.csrr_hartid(1)
+    b.li(9, 4)
+    b.mul(9, 1, 9)
+    b.li(2, config.spm_bytes - 4 * (cores + 1))
+    b.add(2, 2, 9)
+    b.addi(3, 1, 100)
+    b.sw(3, 2, 0)
+    b.barrier()
+    b.lw(4, 2, 4)
+    b.sw(4, 2, -4 * cores)
+    b.halt()
+    cluster = MemPoolCluster(config)
+    cluster.load_program(b.build(), num_cores=cores)
+    return cluster
+
+
+class TestLargestCapacity:
+    def test_8mib_lanes_match_fast(self):
+        """2,048-word banks: a stencil past the first 1,024 words and a
+        program working at the very top of the SPM share one fleet."""
+        config = MemPoolConfig(capacity_mib=8, flow=Flow.FLOW_3D)
+
+        def lanes():
+            stencil, finish = prepare_stencil5(config, 34, 34, 16)
+            return [(stencil, finish), (_top_of_spm_cluster(config, 4), None)]
+
+        fast_runs = [(cluster, FastEngine(cluster).run()) for cluster, _ in lanes()]
+        fleet_lanes = lanes()
+        outcomes = FleetEngine([cluster for cluster, _fin in fleet_lanes]).run()
+        for fast_pair, (cluster, _fin), out in zip(fast_runs, fleet_lanes, outcomes):
+            assert out.error is None
+            _assert_lane_identical(fast_pair, (cluster, out.result))
+        assert fleet_lanes[0][1](outcomes[0].result).correct
+        top = config.spm_bytes - 4 * 5
+        assert fleet_lanes[1][0].read_words(top - 16, 9) == [
+            101, 102, 103, 0, 100, 101, 102, 103, 0
+        ]
+
+
 def _spin_cluster():
     builder = ProgramBuilder()
     builder.label("spin")

@@ -88,6 +88,20 @@ class TestEngine:
         result = run_cluster(cluster)
         assert result.ipc > 0
 
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_memcpy_to_top_of_8mib(self, engine):
+        """2,048-word banks: copy the first 1,536 words to the SPM's top."""
+        config = MemPoolConfig(capacity_mib=8, flow=Flow.FLOW_2D)
+        n, cores = 1536, 16
+        dst = config.spm_bytes - 4 * n
+        cluster = MemPoolCluster(config)
+        payload = [i * 7 + 3 for i in range(n)]
+        cluster.write_words(0, payload)
+        cluster.load_program(memcpy_program(n, cores, 0, dst), num_cores=cores)
+        run_cluster(cluster, engine=engine)
+        assert cluster.read_words(dst, n) == payload
+        assert cluster.read_words(dst - 8, 2) == [0, 0]
+
 
 class TestOffChipMemory:
     def test_transfer_cycles_bandwidth_bound(self):

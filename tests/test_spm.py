@@ -37,6 +37,21 @@ class TestSPMBank:
         with pytest.raises(IndexError):
             bank.try_access(0, 2, write=False)
 
+    @pytest.mark.parametrize("offset", [-1, 2])
+    def test_poke_rejects_out_of_range_offset(self, offset):
+        bank = SPMBank(words=2)
+        with pytest.raises(IndexError, match=f"offset {offset} outside bank of 2 words"):
+            bank.poke(offset, 5)
+        assert [bank.peek(0), bank.peek(1)] == [0, 0]
+
+    def test_untouched_words_read_zero(self):
+        bank = SPMBank(words=4)
+        bank.poke(2, 9)
+        assert [bank.peek(i) for i in range(4)] == [0, 0, 9, 0]
+        assert bank.export_words() == [0, 0, 9, 0]
+        bank.import_words([0, 3, 0, 0])
+        assert bank.export_words() == [0, 3, 0, 0]
+
     def test_rejects_empty_bank(self):
         with pytest.raises(ValueError):
             SPMBank(words=0)
