@@ -58,6 +58,24 @@ class Barrier:
             self._generation += 1
             self.episodes += 1
 
+    # -- array-view accessors (fast simulator) -------------------------
+    def export_state(self) -> dict:
+        """Population, arrivals, generation and episode count as a dict."""
+        return {
+            "parties": self._parties,
+            "arrived": set(self._arrived),
+            "generation": self._generation,
+            "episodes": self.episodes,
+        }
+
+    def import_state(self, state: dict) -> None:
+        """Inverse of :meth:`export_state`; earlier release predicates
+        read the restored generation."""
+        self._parties = state["parties"]
+        self._arrived = set(state["arrived"])
+        self._generation = state["generation"]
+        self.episodes = state["episodes"]
+
 
 class MemPoolCluster:
     """Simulatable MemPool cluster.

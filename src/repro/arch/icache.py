@@ -107,3 +107,18 @@ class InstructionCache:
     def flush(self) -> None:
         """Invalidate all lines (cold-cache setup)."""
         self._lines.clear()
+
+    # -- array-view accessors (fast simulator) -------------------------
+    def export_state(self) -> dict:
+        """Resident lines in refill order, plus the hit/miss counters."""
+        return {
+            "lines": list(self._lines),
+            "hits": self.stats.hits,
+            "misses": self.stats.misses,
+        }
+
+    def import_state(self, state: dict) -> None:
+        """Inverse of :meth:`export_state`."""
+        self._lines = OrderedDict.fromkeys(state["lines"])
+        self.stats.hits = state["hits"]
+        self.stats.misses = state["misses"]

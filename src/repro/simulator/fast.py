@@ -1,4 +1,4 @@
-"""Fast-path cluster simulation: SoA stepper with event fast-forward.
+"""Fast-path cluster simulation: SoA stepper with core run-ahead.
 
 A drop-in replacement for the reference cycle-driven
 :class:`repro.simulator.engine.Engine` that produces bit-identical results
@@ -12,28 +12,42 @@ times faster:
   word-indexed image on first touch, so the hot loop runs without
   attribute churn, dataclass construction, or the router/tile/bank call
   chain of the reference model.
-* **Event-driven stepping.**  Every core carries a *wake* time — the next
-  cycle at which it can make progress (load return, branch-shadow end,
-  barrier release) — and sits in a schedule keyed by that cycle.  Stalled
-  cores are never touched; their per-cycle stall accounting is applied in
-  bulk when they wake, so the totals match the reference's
-  cycle-by-cycle increments exactly.
-* **Quiescence fast-forward.**  The clock is the schedule's next event:
-  stretches where every active core is stalled on memory or a barrier
-  are jumped over instead of ticked through.
+* **Run-ahead stepping.**  Only loads, stores, barriers and halts touch
+  state another core can see; ALU ops, jumps and branches are core-local
+  (Snitch is single-issue and in order, and a load's data is read at
+  issue).  So a visit to a plain :class:`SnitchCore` executes its shared
+  op in its own cycle, then runs the core ahead through its local ops to
+  the cycle of its next shared op, booking inline what the reference
+  steps through cycle by cycle: a load's return stall and register
+  write, store occupancy, and taken-branch shadows.  The next visit is
+  scheduled for that cycle, so visits scale with memory ops and barriers,
+  not with instructions.  Nothing runs at or past the cycle limit: a wait
+  that reaches it sleeps in the reference's wait state, which keeps
+  timeout accounting exact.  Cores on a simulated (cold) tile i-cache
+  fetch in step order, so they run one instruction per visit, and
+  :class:`ScoreboardSnitchCore` cores step one instruction per visit.
+* **Event-driven schedule.**  Every core sits in a schedule keyed by the
+  next cycle at which it can make progress (next shared op, load return,
+  branch-shadow end, barrier release).  Stalled cores are never touched;
+  their per-cycle stall accounting is applied in bulk when they wake,
+  and stretches where every active core is stalled are jumped over
+  instead of ticked through.
 * **Hot-i-cache shortcut.**  When a tile i-cache provably cannot miss
   (all program lines resident, no eviction pressure — the paper's "hot
   instruction cache" setup), fetches are counted in bulk instead of
   simulated one lookup at a time.
 
 Equivalence hinges on replicating the reference engine's intra-cycle
-order: cores due in the same cycle are visited in ascending core id,
-which is exactly the order the reference steps them, so bank-conflict
-and remote-port arbitration resolve identically.  Configurations the
-fast model does not cover (non-standard cores, custom memory ports or
-barriers, non-32-bit words) are detected by :meth:`FastEngine.supports`,
-and :func:`repro.simulator.engine.run_cluster` falls back to the
-reference engine for them.
+order: shared ops run only in their own cycle, and cores due in the same
+cycle are visited in ascending core id, which is exactly the order the
+reference steps them, so bank-conflict and remote-port arbitration
+resolve identically.  A fault (a wild or unaligned address) replays the
+run on the reference engine, so the cluster state it leaves is exactly
+the reference's.  Configurations the fast model does not cover
+(non-standard cores, custom memory ports or barriers, non-32-bit words)
+are detected by :meth:`FastEngine.supports`, and
+:func:`repro.simulator.engine.run_cluster` falls back to the reference
+engine for them.
 """
 
 from __future__ import annotations
@@ -44,7 +58,7 @@ from heapq import heappop, heappush
 from ..arch.isa import Op, Program
 from ..arch.scoreboard import ScoreboardSnitchCore
 from ..arch.snitch import CoreState, SnitchCore
-from .engine import SimulationResult, SimulationTimeout
+from .engine import Engine, SimulationResult, SimulationTimeout
 
 # Integer opcodes of the decoded SoA program image.
 (_LI, _ADD, _SUB, _ADDI, _MUL, _MAC, _LW, _SW, _LWP, _SWP, _BNE, _BLT,
@@ -217,6 +231,9 @@ class FastEngine:
 
         Raises:
             SimulationTimeout: If the cycle limit is exceeded.
+            ValueError: On a wild or unaligned address, raised by the
+                reference engine's replay of the run, whose state the
+                cluster is left in.
         """
         cluster = self.cluster
         arch = cluster.arch
@@ -252,7 +269,14 @@ class FastEngine:
         b_reads = [0] * num_banks
         b_writes = [0] * num_banks
         b_conf = [0] * num_banks
+        # Remote-port claims per target tile: a count valid for the cycle
+        # in its stamp, so a new cycle needs no clearing pass.
         port_cur, port_use = router.export_port_state()
+        port_stamp = [-1] * ntiles
+        port_cnt = [0] * ntiles
+        for tile, used in port_use.items():
+            port_stamp[tile] = port_cur
+            port_cnt[tile] = used
         local_req = [0] * ntiles
         remote_in = [0] * ntiles
         local_acc = group_acc = cluster_acc = bank_conf = port_conf = 0
@@ -290,6 +314,14 @@ class FastEngine:
         stable, ic_mode = self._classify_icaches(cores, programs)
         fetch_hits = [0] * n
 
+        # The run mutates only the barrier and the simulated i-caches in
+        # place; their entry state lets a fault replay from scratch.
+        barrier_entry = barrier.export_state()
+        icache_entry = [
+            (icache, icache.export_state())
+            for icache, mode in zip(icaches, ic_mode) if mode == _IC_SIM
+        ]
+
         # -- per-core stat accumulators ----------------------------------
         st_instr = [0] * n
         st_load = [0] * n
@@ -306,11 +338,12 @@ class FastEngine:
 
         # -- wake-up schedule ---------------------------------------------
         # Cores due next cycle go straight onto ``queue_next`` (the hot
-        # path: one list append).  Longer sleeps land in ``sched[c]``
+        # path: one list append).  Later visits land in ``sched[c]``
         # (cycle -> due cores) with ``heap`` holding the distinct cycles,
         # which is what makes quiescent stretches skippable.  Cores
         # waiting on a barrier carry wake == _INF and sit outside the
-        # schedule until an arrival or a party reduction releases them.
+        # schedule until an arrival or a party reduction releases them;
+        # ``wake`` is read only for such waiters.
         sched: dict[int, list[int]] = {0: list(range(n))}
         heap = [0]
         queue_next: list[int] = []
@@ -329,23 +362,22 @@ class FastEngine:
             """One request through the fabric; mirrors FabricRouter.access."""
             nonlocal port_cur, local_acc, group_acc, cluster_acc
             nonlocal bank_conf, port_conf
-            if address < 0 or address >= spm_bytes:
-                raise ValueError(f"address {address:#x} outside SPM")
-            if address & 3:
-                raise ValueError(f"address {address:#x} is not word-aligned")
+            if address >= spm_bytes or address & 3:
+                raise ValueError(f"address {address:#x} faults")
             word = address >> 2
             bank = word % bpt
             tile = (word // bpt) % ntiles
             src_tile = core_id // cpt
             if tile != src_tile:
-                if at != port_cur:
-                    port_use.clear()
+                if port_stamp[tile] != at:
+                    port_stamp[tile] = at
+                    port_cnt[tile] = 0
                     port_cur = at
-                used = port_use.get(tile, 0)
+                used = port_cnt[tile]
                 if used >= rports:
                     port_conf += 1
                     return False, 0, 0
-                port_use[tile] = used + 1
+                port_cnt[tile] = used + 1
             flat_bank = tile * bpt + bank
             if bank_busy[flat_bank] == at:
                 b_conf[flat_bank] += 1
@@ -429,17 +461,18 @@ class FastEngine:
                     self.cycle = max_cycles
                     self._accrue_timeout(
                         max_cycles, alive, state, last_step, reason, icaches,
-                        ic_mode, fetch_hits, st_load, st_store, st_bar, st_ic,
-                        st_conflict,
+                        ic_mode, fetch_hits, regs, pending, st_load, st_store,
+                        st_bar, st_ic, st_conflict,
                     )
                     self._write_back(
                         mem, flat_banks, bank_busy, b_reads, b_writes, b_conf,
-                        port_cur, port_use, local_req, remote_in, local_acc,
-                        group_acc, cluster_acc, bank_conf, port_conf, cores, sb,
-                        regs, pc, state, stall_until, pend_reg, pend_data,
-                        pending, release, icaches, ic_mode, fetch_hits,
-                        last_step, st_instr, st_load, st_store, st_bar, st_ic,
-                        st_branch, st_conflict, idle_cycles=max_cycles,
+                        port_cur, port_stamp, port_cnt, local_req, remote_in,
+                        local_acc, group_acc, cluster_acc, bank_conf,
+                        port_conf, cores, sb, regs, pc, state, stall_until,
+                        pend_reg, pend_data, pending, release, icaches,
+                        ic_mode, fetch_hits, last_step, st_instr, st_load,
+                        st_store, st_bar, st_ic, st_branch, st_conflict,
+                        idle_cycles=max_cycles,
                     )
                     raise SimulationTimeout(
                         f"{alive_count} cores still running after "
@@ -514,202 +547,248 @@ class FastEngine:
                                 pend_reg[i] = None
                             state[i] = _RUN
                         p = pc[i]
-                        if p >= plen[i]:
+                        end = plen[i]
+                        if p >= end:
                             state[i] = _HALTED
                             wake[i] = _INF
                             halted_now += 1
                             continue
-                        icm = ic_mode[i]
-                        if icm == _IC_HOT:
-                            fetch_hits[i] += 1
-                        elif icm == _IC_SIM:
+                        if ic_mode[i] == _IC_SIM:
                             penalty = icaches[i].fetch(p << 2)
                             if penalty:
                                 st_ic[i] += penalty - 1
-                                pend_reg[i] = None
                                 state[i] = _WMEM
                                 stall_until[i] = cycle + penalty
                                 reason[i] = _R_STORE
                                 push(i, cycle + penalty)
                                 continue
-                        code, rd, rs1, rs2, imm, target, _hz = progs[i][p]
-
-                        if code == _LW or code == _LWP or code == _SW \
-                                or code == _SWP:
-                            # route() inlined: loads and stores dominate the
-                            # snitch kernels, so the fabric walk (decode, port
-                            # claim, bank arbitration, latency class) runs
-                            # without a function call on this path.
-                            is_store = code == _SW or code == _SWP
-                            if code == _LW or code == _SW:
-                                address = (regs_i[rs1] + imm) & _MASK
-                            else:
-                                address = regs_i[rs1]
-                            if address < 0 or address >= spm_bytes:
-                                raise ValueError(
-                                    f"address {address:#x} outside SPM"
-                                )
-                            if address & 3:
-                                raise ValueError(
-                                    f"address {address:#x} is not word-aligned"
-                                )
-                            word = address >> 2
-                            tile = (word // bpt) % ntiles
-                            src_tile = i // cpt
-                            if tile != src_tile:
-                                if cycle != port_cur:
-                                    port_use.clear()
-                                    port_cur = cycle
-                                used = port_use.get(tile, 0)
-                                if used >= rports:
-                                    port_conf += 1
+                            # tile-shared i-cache: fetch in step order
+                            limit = cycle + 1
+                        else:
+                            limit = max_cycles
+                        # Run the op at pc in this cycle, then run ahead
+                        # through core-local ops to the cycle ``t`` of the
+                        # next shared one (memory op, barrier, halt or
+                        # program end), booking inline the waits the
+                        # reference steps through.  Nothing runs at or past
+                        # ``limit``: a wait that reaches it sleeps in the
+                        # reference's wait state.  ``t`` becomes -1 once
+                        # the core is scheduled some other way.
+                        prog = progs[i]
+                        t = cycle
+                        done = 0
+                        while True:
+                            code, rd, rs1, rs2, imm, target, _hz = prog[p]
+                            if _LW <= code <= _SWP:
+                                if t != cycle:
+                                    break
+                                # the fabric walk (decode, port claim, bank
+                                # arbitration, latency class) of route(),
+                                # inlined for the plain-core hot path
+                                if code == _LW or code == _SW:
+                                    address = (regs_i[rs1] + imm) & _MASK
+                                else:
+                                    address = regs_i[rs1]
+                                if address >= spm_bytes or address & 3:
+                                    raise ValueError(
+                                        f"address {address:#x} faults"
+                                    )
+                                word = address >> 2
+                                tile = (word // bpt) % ntiles
+                                src_tile = i // cpt
+                                if tile != src_tile:
+                                    if port_stamp[tile] != cycle:
+                                        port_stamp[tile] = cycle
+                                        port_cnt[tile] = 0
+                                        port_cur = cycle
+                                    used = port_cnt[tile]
+                                    if used >= rports:
+                                        port_conf += 1
+                                        st_conflict[i] += 1
+                                        queue_next.append(i)
+                                        t = -1
+                                        break
+                                    port_cnt[tile] = used + 1
+                                flat_bank = tile * bpt + word % bpt
+                                if bank_busy[flat_bank] == cycle:
+                                    b_conf[flat_bank] += 1
+                                    bank_conf += 1
                                     st_conflict[i] += 1
                                     queue_next.append(i)
-                                    continue
-                                port_use[tile] = used + 1
-                            flat_bank = tile * bpt + word % bpt
-                            if bank_busy[flat_bank] == cycle:
-                                b_conf[flat_bank] += 1
-                                bank_conf += 1
-                                st_conflict[i] += 1
-                                queue_next.append(i)
-                                continue
-                            bank_busy[flat_bank] = cycle
-                            if is_store:
-                                mem[word] = regs_i[rs2] & _MASK
-                                b_writes[flat_bank] += 1
-                            else:
-                                data = mem.get(word)
-                                if data is None:
-                                    data = flat_banks[flat_bank].peek(
-                                        word // words_stride
-                                    )
-                                    mem[word] = data
-                                b_reads[flat_bank] += 1
-                            if tile == src_tile:
-                                local_req[tile] += 1
-                                local_acc += 1
-                                lat = lat_local
-                            else:
-                                remote_in[tile] += 1
-                                if tile // tpg == src_tile // tpg:
-                                    group_acc += 1
-                                    lat = lat_group
+                                    t = -1
+                                    break
+                                bank_busy[flat_bank] = cycle
+                                if tile == src_tile:
+                                    local_req[tile] += 1
+                                    local_acc += 1
+                                    lat = lat_local
                                 else:
-                                    cluster_acc += 1
-                                    lat = lat_cluster
-                            if (code == _LWP or code == _SWP) and rs1:
-                                regs_i[rs1] = (regs_i[rs1] + imm) & _MASK
-                            st_instr[i] += 1
-                            pc[i] = p + 1
-                            if is_store:
-                                latency = store_lat[i]
-                                if latency > 1:
-                                    pend_reg[i] = None
-                                    state[i] = _WMEM
-                                    stall_until[i] = cycle + latency
-                                    reason[i] = _R_STORE
-                                    push(i, cycle + latency)
+                                    remote_in[tile] += 1
+                                    if tile // tpg == src_tile // tpg:
+                                        group_acc += 1
+                                        lat = lat_group
+                                    else:
+                                        cluster_acc += 1
+                                        lat = lat_cluster
+                                done += 1
+                                p += 1
+                                if code == _SW or code == _SWP:
+                                    mem[word] = regs_i[rs2] & _MASK
+                                    b_writes[flat_bank] += 1
+                                    if code == _SWP and rs1:
+                                        regs_i[rs1] = (regs_i[rs1] + imm) & _MASK
+                                    lat = store_lat[i]
+                                    t = cycle + lat
+                                    if lat > 1:
+                                        stall_until[i] = t
+                                        if t >= limit:
+                                            state[i] = _WMEM
+                                            reason[i] = _R_STORE
+                                            push(i, t)
+                                            t = -1
+                                            break
+                                        st_store[i] += lat - 1
                                 else:
-                                    queue_next.append(i)
-                            else:
-                                pend_reg[i] = rd
-                                pend_data[i] = data
-                                state[i] = _WMEM
-                                stall_until[i] = cycle + lat
-                                reason[i] = _R_LOAD
-                                push(i, cycle + lat)
-                        elif code == _MAC:
-                            a = regs_i[rs1]
-                            b = regs_i[rs2]
-                            if a & 0x80000000:
-                                a -= 0x100000000
-                            if b & 0x80000000:
-                                b -= 0x100000000
-                            if rd:
-                                regs_i[rd] = (regs_i[rd] + a * b) & _MASK
-                            st_instr[i] += 1
-                            pc[i] = p + 1
-                            queue_next.append(i)
-                        elif code == _BNE or code == _BLT:
-                            a = regs_i[rs1]
-                            b = regs_i[rs2]
-                            if a & 0x80000000:
-                                a -= 0x100000000
-                            if b & 0x80000000:
-                                b -= 0x100000000
-                            taken = (a != b) if code == _BNE else (a < b)
-                            st_instr[i] += 1
-                            if taken:
-                                st_branch[i] += 1
-                                pend_reg[i] = None
-                                state[i] = _WMEM
-                                stall_until[i] = cycle + 2
-                                reason[i] = _R_STORE
-                                pc[i] = target
-                                push(i, cycle + 2)
-                            else:
-                                pc[i] = p + 1
+                                    data = mem.get(word)
+                                    if data is None:
+                                        data = flat_banks[flat_bank].peek(
+                                            word // words_stride
+                                        )
+                                        mem[word] = data
+                                    b_reads[flat_bank] += 1
+                                    if code == _LWP and rs1:
+                                        regs_i[rs1] = (regs_i[rs1] + imm) & _MASK
+                                    t = cycle + lat
+                                    pend_data[i] = data
+                                    stall_until[i] = t
+                                    if t >= limit:
+                                        pend_reg[i] = rd
+                                        state[i] = _WMEM
+                                        reason[i] = _R_LOAD
+                                        push(i, t)
+                                        t = -1
+                                        break
+                                    st_load[i] += lat - 1
+                                    if rd:
+                                        regs_i[rd] = data
+                            elif code == _ADD:
+                                if rd:
+                                    regs_i[rd] = (regs_i[rs1] + regs_i[rs2]) & _MASK
+                                done += 1
+                                p += 1
+                                t += 1
+                            elif code == _LI:
+                                if rd:
+                                    regs_i[rd] = imm & _MASK
+                                done += 1
+                                p += 1
+                                t += 1
+                            elif code == _MUL:
+                                a = regs_i[rs1]
+                                b = regs_i[rs2]
+                                if a & 0x80000000:
+                                    a -= 0x100000000
+                                if b & 0x80000000:
+                                    b -= 0x100000000
+                                if rd:
+                                    regs_i[rd] = (a * b) & _MASK
+                                done += 1
+                                p += 1
+                                t += 1
+                            elif code == _MAC:
+                                a = regs_i[rs1]
+                                b = regs_i[rs2]
+                                if a & 0x80000000:
+                                    a -= 0x100000000
+                                if b & 0x80000000:
+                                    b -= 0x100000000
+                                if rd:
+                                    regs_i[rd] = (regs_i[rd] + a * b) & _MASK
+                                done += 1
+                                p += 1
+                                t += 1
+                            elif code == _BNE or code == _BLT:
+                                a = regs_i[rs1]
+                                b = regs_i[rs2]
+                                if a & 0x80000000:
+                                    a -= 0x100000000
+                                if b & 0x80000000:
+                                    b -= 0x100000000
+                                taken = (a != b) if code == _BNE else (a < b)
+                                done += 1
+                                if taken:  # a one-cycle shadow
+                                    st_branch[i] += 1
+                                    p = target
+                                    t += 2
+                                    stall_until[i] = t
+                                    if t >= limit:
+                                        state[i] = _WMEM
+                                        reason[i] = _R_STORE
+                                        last_step[i] = t - 2
+                                        push(i, t)
+                                        t = -1
+                                        break
+                                    st_store[i] += 1
+                                else:
+                                    p += 1
+                                    t += 1
+                            elif code == _J:
+                                done += 1
+                                p = target
+                                t += 1
+                            elif code == _ADDI:
+                                if rd:
+                                    regs_i[rd] = (regs_i[rs1] + imm) & _MASK
+                                done += 1
+                                p += 1
+                                t += 1
+                            elif code == _SUB:
+                                if rd:
+                                    regs_i[rd] = (regs_i[rs1] - regs_i[rs2]) & _MASK
+                                done += 1
+                                p += 1
+                                t += 1
+                            elif code == _CSRR:
+                                if rd:
+                                    regs_i[rd] = i
+                                done += 1
+                                p += 1
+                                t += 1
+                            elif code == _NOP:
+                                done += 1
+                                p += 1
+                                t += 1
+                            elif t != cycle:
+                                break
+                            elif code == _BARRIER:
+                                done += 1
+                                p += 1
+                                arrive_at_barrier(i, cycle, queue)
+                                t = -1
+                                break
+                            else:  # _HALT
+                                done += 1
+                                state[i] = _HALTED
+                                wake[i] = _INF
+                                halted_now += 1
+                                t = -1
+                                break
+                            if t >= limit or p >= end:
+                                break
+                        pc[i] = p
+                        st_instr[i] += done
+                        if t > cycle:
+                            # parked: visit again at the next shared op
+                            if t == cycle + 1:
                                 queue_next.append(i)
-                        elif code == _ADD:
-                            if rd:
-                                regs_i[rd] = (regs_i[rs1] + regs_i[rs2]) & _MASK
-                            st_instr[i] += 1
-                            pc[i] = p + 1
-                            queue_next.append(i)
-                        elif code == _ADDI:
-                            if rd:
-                                regs_i[rd] = (regs_i[rs1] + imm) & _MASK
-                            st_instr[i] += 1
-                            pc[i] = p + 1
-                            queue_next.append(i)
-                        elif code == _LI:
-                            if rd:
-                                regs_i[rd] = imm & _MASK
-                            st_instr[i] += 1
-                            pc[i] = p + 1
-                            queue_next.append(i)
-                        elif code == _MUL:
-                            a = regs_i[rs1]
-                            b = regs_i[rs2]
-                            if a & 0x80000000:
-                                a -= 0x100000000
-                            if b & 0x80000000:
-                                b -= 0x100000000
-                            if rd:
-                                regs_i[rd] = (a * b) & _MASK
-                            st_instr[i] += 1
-                            pc[i] = p + 1
-                            queue_next.append(i)
-                        elif code == _SUB:
-                            if rd:
-                                regs_i[rd] = (regs_i[rs1] - regs_i[rs2]) & _MASK
-                            st_instr[i] += 1
-                            pc[i] = p + 1
-                            queue_next.append(i)
-                        elif code == _J:
-                            st_instr[i] += 1
-                            pc[i] = target
-                            queue_next.append(i)
-                        elif code == _CSRR:
-                            if rd:
-                                regs_i[rd] = i
-                            st_instr[i] += 1
-                            pc[i] = p + 1
-                            queue_next.append(i)
-                        elif code == _BARRIER:
-                            st_instr[i] += 1
-                            pc[i] = p + 1
-                            arrive_at_barrier(i, cycle, queue)
-                        elif code == _NOP:
-                            st_instr[i] += 1
-                            pc[i] = p + 1
-                            queue_next.append(i)
-                        else:  # _HALT
-                            st_instr[i] += 1
-                            state[i] = _HALTED
-                            wake[i] = _INF
-                            halted_now += 1
+                            else:
+                                last_step[i] = t - 1
+                                entry = sched.get(t)
+                                if entry is None:
+                                    sched[t] = [i]
+                                    heappush(heap, t)
+                                else:
+                                    entry.append(i)
                         continue
 
                     # ================== ScoreboardSnitchCore =================
@@ -904,32 +983,29 @@ class FastEngine:
         except SimulationTimeout:
             raise
         except Exception:
-            # A fault (e.g. a wild or unaligned address) aborts the
-            # run mid-cycle.  The reference engine mutates cluster
-            # state in place, so mirror the progress made so far
-            # back before re-raising; stall attribution *within* the
-            # faulting cycle may differ from the reference.
-            self.cycle = cycle
-            self._accrue_timeout(
-                cycle, alive, state, last_step, reason, icaches,
-                ic_mode, fetch_hits, st_load, st_store, st_bar, st_ic,
-                st_conflict,
-            )
-            self._write_back(
-                mem, flat_banks, bank_busy, b_reads, b_writes, b_conf,
-                port_cur, port_use, local_req, remote_in, local_acc,
-                group_acc, cluster_acc, bank_conf, port_conf, cores, sb,
-                regs, pc, state, stall_until, pend_reg, pend_data,
-                pending, release, icaches, ic_mode, fetch_hits,
-                last_step, st_instr, st_load, st_store, st_bar, st_ic,
-                st_branch, st_conflict, idle_cycles=cycle,
-            )
-            raise
+            # A fault (e.g. a wild or unaligned address) aborts the run.
+            # Other cores may have run ahead past the faulting cycle, so
+            # the arrays are not written back: the barrier and the
+            # simulated i-caches go back to their entry state (nothing
+            # else on the cluster has changed), and the reference engine
+            # replays the run, raising the same error and leaving exactly
+            # its own state.
+            barrier.import_state(barrier_entry)
+            for icache, saved in icache_entry:
+                icache.import_state(saved)
+            replay = Engine(cluster, max_cycles=max_cycles)
+            try:
+                replay.run()
+            except Exception as error:
+                raise error from None
+            finally:
+                self.cycle = replay.cycle
+            raise  # the reference ran clean: surface the fast-path error
 
         self.cycle = cycle + 1
         self._write_back(
             mem, flat_banks, bank_busy, b_reads, b_writes, b_conf, port_cur,
-            port_use, local_req, remote_in, local_acc, group_acc,
+            port_stamp, port_cnt, local_req, remote_in, local_acc, group_acc,
             cluster_acc, bank_conf, port_conf, cores, sb, regs, pc, state,
             stall_until, pend_reg, pend_data, pending, release, icaches,
             ic_mode, fetch_hits, last_step, st_instr, st_load, st_store,
@@ -944,12 +1020,20 @@ class FastEngine:
     # ------------------------------------------------------------------
     @staticmethod
     def _accrue_timeout(max_cycles, alive, state, last_step, reason,
-                        icaches, ic_mode, fetch_hits, st_load, st_store,
-                        st_bar, st_ic, st_conflict) -> None:
-        """Fold the idle cycles up to the timeout into the stall stats."""
+                        icaches, ic_mode, fetch_hits, regs, pending, st_load,
+                        st_store, st_bar, st_ic, st_conflict) -> None:
+        """Replay what the reference does in the cycles slept through
+        before the timeout: stall counts, and the scoreboard commits of
+        loads that arrived."""
         for i in alive:
             if state[i] == _HALTED:
                 continue
+            loads = pending[i]
+            if loads:
+                for ready, reg, data in loads:
+                    if ready < max_cycles and reg:
+                        regs[i][reg] = data
+                pending[i] = [rec for rec in loads if rec[0] >= max_cycles]
             gap = (max_cycles - 1) - last_step[i]
             if gap <= 0:
                 continue
@@ -973,10 +1057,10 @@ class FastEngine:
 
     # ------------------------------------------------------------------
     def _write_back(self, mem, flat_banks, bank_busy, b_reads, b_writes,
-                    b_conf, port_cur, port_use, local_req, remote_in,
-                    local_acc, group_acc, cluster_acc, bank_conf, port_conf,
-                    cores, sb, regs, pc, state, stall_until, pend_reg,
-                    pend_data, pending, release, icaches, ic_mode,
+                    b_conf, port_cur, port_stamp, port_cnt, local_req,
+                    remote_in, local_acc, group_acc, cluster_acc, bank_conf,
+                    port_conf, cores, sb, regs, pc, state, stall_until,
+                    pend_reg, pend_data, pending, release, icaches, ic_mode,
                     fetch_hits, last_step, st_instr, st_load, st_store,
                     st_bar, st_ic, st_branch, st_conflict,
                     idle_cycles: int = 0) -> None:
@@ -1000,7 +1084,11 @@ class FastEngine:
         router.stats.cluster_accesses += cluster_acc
         router.stats.bank_conflicts += bank_conf
         router.stats.port_conflicts += port_conf
-        router.import_port_state(port_cur, port_use)
+        router.import_port_state(port_cur, {
+            tile: used
+            for tile, (stamp, used) in enumerate(zip(port_stamp, port_cnt))
+            if stamp == port_cur and used
+        })
         for i, core in enumerate(cores):
             if sb[i]:
                 core.import_state({
@@ -1011,6 +1099,7 @@ class FastEngine:
                     "pending": list(pending[i]),
                     "barrier_release": release[i],
                 })
+                hits = fetch_hits[i]
             else:
                 core.import_state({
                     "regs": regs[i],
@@ -1021,13 +1110,15 @@ class FastEngine:
                     "pending_load_data": pend_data[i],
                     "barrier_release": release[i],
                 })
-            if ic_mode[i] == _IC_HOT and fetch_hits[i]:
-                icaches[i].stats.hits += fetch_hits[i]
+                # a plain core fetches once per retired instruction and
+                # once per refused memory op
+                hits = st_instr[i] + st_conflict[i]
+            if ic_mode[i] == _IC_HOT and hits:
+                icaches[i].stats.hits += hits
             stats = core.stats
             # a core is stepped every cycle until it halts, so its cycle
             # count is simply its halt cycle + 1; cores still running at
-            # a timeout or fault are charged up to the aborting cycle
-            # (inclusive for cores already visited in it)
+            # a timeout are charged up to the limit
             if state[i] == _HALTED:
                 stats.cycles += last_step[i] + 1
             else:

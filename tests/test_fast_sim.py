@@ -91,47 +91,115 @@ class TestWorkloadEquivalence:
         assert fast.total_cycles == ref.total_cycles
 
 
-def _diff_clusters(build, load, max_cycles=5_000_000):
-    """Run the same program under both engines; diff everything."""
+def _core_state(core):
+    """A core's export_state(), less its barrier-release closure."""
+    state = core.export_state()
+    del state["barrier_release"]
+    return state
+
+
+def _diff_clusters(build, load, max_cycles=5_000_000, raises=None):
+    """Run the same program under both engines; diff everything.
+
+    With ``raises``, both runs must raise that error with the same
+    message, and the state each leaves on its cluster is diffed.
+    """
     results = {}
     for engine_name in ("reference", "fast"):
         cluster = build()
         load(cluster)
         if engine_name == "reference":
-            result = Engine(cluster, max_cycles=max_cycles).run()
+            engine = Engine(cluster, max_cycles=max_cycles)
         else:
             assert FastEngine.supports(cluster)
-            result = FastEngine(cluster, max_cycles=max_cycles).run()
-        results[engine_name] = (cluster, result)
-    ref_cluster, ref = results["reference"]
-    fast_cluster, fast = results["fast"]
+            engine = FastEngine(cluster, max_cycles=max_cycles)
+        if raises is None:
+            outcome = engine.run()
+        else:
+            with pytest.raises(raises) as excinfo:
+                engine.run()
+            outcome = str(excinfo.value)
+        results[engine_name] = (cluster, outcome, engine.cycle)
+    ref_cluster, ref, ref_cycle = results["reference"]
+    fast_cluster, fast, fast_cycle = results["fast"]
 
-    assert fast.cycles == ref.cycles
-    assert fast.instructions == ref.instructions
-    assert fast.barrier_episodes == ref.barrier_episodes
+    assert fast_cycle == ref_cycle
+    if raises is None:
+        assert fast.cycles == ref.cycles
+        assert fast.instructions == ref.instructions
+        assert fast.barrier_episodes == ref.barrier_episodes
+    else:
+        assert fast == ref
     # per-core architectural + microarchitectural state
     for ref_core, fast_core in zip(ref_cluster.cores, fast_cluster.cores):
-        assert fast_core.regs == ref_core.regs
-        assert fast_core.pc == ref_core.pc
-        assert fast_core.state == ref_core.state
+        assert _core_state(fast_core) == _core_state(ref_core)
         assert vars(fast_core.stats) == vars(ref_core.stats)
+    assert (fast_cluster.barrier.export_state()
+            == ref_cluster.barrier.export_state())
     # fabric and cache counters
     assert vars(fast_cluster.router.stats) == vars(ref_cluster.router.stats)
+    assert (fast_cluster.router.export_port_state()
+            == ref_cluster.router.export_port_state())
     for ref_tile, fast_tile in zip(ref_cluster.tiles, fast_cluster.tiles):
         assert vars(fast_tile.port_stats) == vars(ref_tile.port_stats)
-        assert vars(fast_tile.icache.stats) == vars(ref_tile.icache.stats)
+        assert fast_tile.icache.export_state() == ref_tile.icache.export_state()
         for ref_bank, fast_bank in zip(
             ref_tile.spm.banks, fast_tile.spm.banks
         ):
             assert vars(fast_bank.stats) == vars(ref_bank.stats)
+            assert fast_bank.busy_cycle == ref_bank.busy_cycle
     # full SPM image
     assert (
         fast_cluster.export_spm() == ref_cluster.export_spm()
     ).all()
-    trace_ref = collect_trace(ref_cluster, ref.cycles)
-    trace_fast = collect_trace(fast_cluster, fast.cycles)
+    trace_ref = collect_trace(ref_cluster, ref_cycle)
+    trace_fast = collect_trace(fast_cluster, fast_cycle)
     assert trace_fast == trace_ref
     return ref
+
+
+def _fault_program(faulting_hart):
+    """Every hart but one loops over stores; that one stores, then loads
+    from a wild address while the lower harts sit in branch shadows."""
+    b = ProgramBuilder()
+    b.csrr_hartid(1)
+    b.li(2, faulting_hart)
+    b.li(7, 4)
+    b.mul(7, 1, 7)  # x7 = 4 * hartid: this hart's word
+    b.li(5, 0)
+    b.li(6, 40)
+    b.bne(1, 2, "loop")
+    b.sw(1, 7, 0)
+    b.addi(5, 5, 1)
+    b.addi(5, 5, 1)
+    b.li(3, 0x7FFFFFF0)
+    b.lw(4, 3, 0)  # wild load: outside the SPM
+    b.halt()
+    b.label("loop")
+    b.addi(5, 5, 1)
+    b.sw(5, 7, 0)
+    b.blt(5, 6, "loop")
+    b.halt()
+    return b.build()
+
+
+def _spin_program():
+    """Each hart loops forever: a remote load, ALU ops, a taken branch."""
+    b = ProgramBuilder()
+    b.csrr_hartid(1)
+    b.li(9, 4)
+    b.mul(9, 1, 9)  # x9 = 4 * hartid: all harts load from tile 0
+    b.li(5, 0)
+    b.li(6, 0)
+    b.li(8, -1)
+    b.label("loop")
+    b.lw(4, 9, 0)
+    b.add(5, 5, 4)
+    b.addi(6, 6, 1)
+    b.mul(7, 5, 6)
+    b.bne(6, 8, "loop")  # x6 never reaches -1 here
+    b.halt()
+    return b.build()
 
 
 class TestEngineStateEquivalence:
@@ -196,30 +264,62 @@ class TestEngineStateEquivalence:
             )
         assert observed["fast"] == observed["reference"]
 
-    def test_fault_mirrors_progress_like_reference(self):
-        """A wild address aborts the run but leaves prior progress
-        (SPM writes, retired-instruction counts) on the cluster, as the
-        in-place reference engine does."""
-        builder = ProgramBuilder()
-        builder.li(1, 42)
-        builder.li(2, 4)
-        builder.sw(1, 2, 0)
-        builder.li(3, 0x7FFFFFF0)
-        builder.lw(4, 3, 0)  # wild load: outside the SPM
-        builder.halt()
-        program = builder.build()
-        observed = {}
-        for engine in (Engine, FastEngine):
-            cluster = MemPoolCluster(_config("2D"))
-            cluster.load_program(program, num_cores=1)
-            with pytest.raises(ValueError, match="outside SPM"):
-                engine(cluster).run()
-            observed[engine] = (
-                cluster.read_words(4, 1)[0],
-                cluster.cores[0].stats.instructions,
-                cluster.cores[0].stats.cycles,
+    @pytest.mark.parametrize("hot_icache", [True, False])
+    @pytest.mark.parametrize("scoreboard", [False, True])
+    @pytest.mark.parametrize("faulting_hart", [0, 2, 5])
+    def test_fault_mirrors_progress_like_reference(
+        self, faulting_hart, scoreboard, hot_icache
+    ):
+        """A wild address aborts the run and leaves exactly the state the
+        in-place reference engine leaves: prior SPM writes, and every
+        core's progress up to and including the faulting cycle."""
+        program = _fault_program(faulting_hart)
+
+        def load(cluster):
+            cluster.load_program(
+                program, num_cores=6, hot_icache=hot_icache,
+                scoreboard=scoreboard,
             )
-        assert observed[FastEngine] == observed[Engine]
+
+        _diff_clusters(
+            lambda: MemPoolCluster(_config("2D")), load, raises=ValueError
+        )
+
+    @pytest.mark.parametrize("scoreboard", [False, True])
+    @pytest.mark.parametrize("max_cycles", [3, 7, 8, 9, 10, 11, 57, 200])
+    def test_timeout_inside_run_ahead(self, max_cycles, scoreboard):
+        """Limits that fall inside load waits, branch shadows and ALU
+        runs leave the reference's state, waits half-served included."""
+        program = _spin_program()
+
+        def load(cluster):
+            cluster.load_program(program, num_cores=16, scoreboard=scoreboard)
+
+        _diff_clusters(
+            lambda: MemPoolCluster(_config("2D")), load,
+            max_cycles=max_cycles, raises=SimulationTimeout,
+        )
+
+    def test_timeout_commits_load_returned_in_refill(self):
+        """A scoreboarded core that times out in an i-cache refill has
+        committed the load that returned during the refill."""
+        b = ProgramBuilder()
+        for _ in range(7):
+            b.nop()
+        b.lw(1, 0, 64)  # last op of the first i-cache line: a remote load
+        b.halt()  # first op of the next line: a refill until cycle 48
+        program = b.build()
+
+        def load(cluster):
+            cluster.write_words(64, [1234])
+            cluster.load_program(
+                program, num_cores=1, hot_icache=False, scoreboard=True
+            )
+
+        _diff_clusters(
+            lambda: MemPoolCluster(_config("2D")), load, max_cycles=40,
+            raises=SimulationTimeout,
+        )
 
     def test_barrier_deadlock_timeout(self):
         """A never-released barrier times out identically (fast-forward)."""
@@ -370,8 +470,8 @@ class TestDispatchAndFallback:
 
 
 # ---------------------------------------------------------------------------
-# Randomized differential testing: straight-line SPMD programs with
-# arithmetic, (conflicting) memory traffic, and barriers.
+# Randomized differential testing: SPMD programs of arithmetic,
+# (conflicting) memory traffic, barriers, and counted loops.
 
 reg = st.integers(min_value=1, max_value=7)
 imm = st.integers(min_value=-64, max_value=64)
@@ -390,39 +490,75 @@ operation = st.one_of(
     st.tuples(st.just("barrier")),
 )
 
+# A counted loop: (trips 1-6, skewed by hart id?, closing branch,
+# barrier after?, body).  Its counter and bound live in x10/x11, which
+# no operation touches.
+block = st.one_of(
+    operation,
+    st.tuples(
+        st.just("loop"),
+        st.integers(min_value=1, max_value=6),
+        st.booleans(),
+        st.sampled_from(["bne", "blt"]),
+        st.booleans(),
+        st.lists(operation, min_size=1, max_size=6),
+    ),
+)
 
-def _build_spmd(ops):
-    """A straight-line SPMD program; addresses salt with the hart id."""
+
+def _emit(b, op):
+    name = op[0]
+    if name == "li":
+        b.li(op[1], op[2])
+    elif name == "add":
+        b.add(op[1], op[2], op[3])
+    elif name == "sub":
+        b.sub(op[1], op[2], op[3])
+    elif name == "addi":
+        b.addi(op[1], op[2], op[3])
+    elif name == "mul":
+        b.mul(op[1], op[2], op[3])
+    elif name == "mac":
+        b.mac(op[1], op[2], op[3])
+    elif name == "lw":
+        b.li(8, op[2] * 4)
+        b.lw(op[1], 8, 0)
+    elif name == "lw_post":
+        b.li(8, op[2] * 4)
+        b.add(8, 8, 9)
+        b.lw_postinc(op[1], 8, 4)
+    elif name == "sw":
+        b.li(8, op[2] * 4)
+        b.add(8, 8, 9)
+        b.sw(op[1], 8, 0)
+    elif name == "barrier":
+        b.barrier()
+
+
+def _build_spmd(blocks):
+    """An SPMD program; addresses salt with the hart id, and skewed
+    loops run ``trips + hartid`` times."""
     b = ProgramBuilder()
     b.csrr_hartid(1)
     b.li(9, 4)
     b.mul(9, 1, 9)  # x9 = 4 * hartid: per-core address salt
-    for op in ops:
-        name = op[0]
-        if name == "li":
-            b.li(op[1], op[2])
-        elif name == "add":
-            b.add(op[1], op[2], op[3])
-        elif name == "sub":
-            b.sub(op[1], op[2], op[3])
-        elif name == "addi":
-            b.addi(op[1], op[2], op[3])
-        elif name == "mul":
-            b.mul(op[1], op[2], op[3])
-        elif name == "mac":
-            b.mac(op[1], op[2], op[3])
-        elif name == "lw":
-            b.li(8, op[2] * 4)
-            b.lw(op[1], 8, 0)
-        elif name == "lw_post":
-            b.li(8, op[2] * 4)
-            b.add(8, 8, 9)
-            b.lw_postinc(op[1], 8, 4)
-        elif name == "sw":
-            b.li(8, op[2] * 4)
-            b.add(8, 8, 9)
-            b.sw(op[1], 8, 0)
-        elif name == "barrier":
+    for index, op in enumerate(blocks):
+        if op[0] != "loop":
+            _emit(b, op)
+            continue
+        _, trips, skewed, closer, barrier_after, body = op
+        if skewed:
+            b.csrr_hartid(11)
+            b.addi(11, 11, trips)
+        else:
+            b.li(11, trips)
+        b.li(10, 0)
+        b.label(f"loop{index}")
+        for inner in body:
+            _emit(b, inner)
+        b.addi(10, 10, 1)
+        getattr(b, closer)(10, 11, f"loop{index}")
+        if barrier_after:
             b.barrier()
     b.barrier()
     b.halt()
@@ -430,20 +566,23 @@ def _build_spmd(ops):
 
 
 class TestRandomizedDifferential:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(
-        ops=st.lists(operation, min_size=1, max_size=24),
+        blocks=st.lists(block, min_size=1, max_size=24),
         cores=st.integers(min_value=1, max_value=8),
         scoreboard=st.booleans(),
+        hot_icache=st.booleans(),
     )
-    def test_random_programs_match(self, ops, cores, scoreboard):
-        program = _build_spmd(ops)
+    def test_random_programs_match(self, blocks, cores, scoreboard,
+                                   hot_icache):
+        program = _build_spmd(blocks)
 
         def load(cluster):
             cluster.write_words(0, [(i * 2654435761) & 0xFFFFFFFF
                                     for i in range(128)])
             cluster.load_program(
-                program, num_cores=cores, scoreboard=scoreboard
+                program, num_cores=cores, scoreboard=scoreboard,
+                hot_icache=hot_icache,
             )
 
         _diff_clusters(lambda: MemPoolCluster(_config("2D")), load)
