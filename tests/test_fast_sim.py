@@ -264,10 +264,35 @@ class TestEngineStateEquivalence:
             )
         assert observed["fast"] == observed["reference"]
 
+    def test_fault_mirrors_progress_like_reference(self):
+        """A wild address aborts the run but leaves prior progress
+        (SPM writes, retired-instruction counts) on the cluster, as the
+        in-place reference engine does."""
+        builder = ProgramBuilder()
+        builder.li(1, 42)
+        builder.li(2, 4)
+        builder.sw(1, 2, 0)
+        builder.li(3, 0x7FFFFFF0)
+        builder.lw(4, 3, 0)  # wild load: outside the SPM
+        builder.halt()
+        program = builder.build()
+        observed = {}
+        for engine in (Engine, FastEngine):
+            cluster = MemPoolCluster(_config("2D"))
+            cluster.load_program(program, num_cores=1)
+            with pytest.raises(ValueError, match="outside SPM"):
+                engine(cluster).run()
+            observed[engine] = (
+                cluster.read_words(4, 1)[0],
+                cluster.cores[0].stats.instructions,
+                cluster.cores[0].stats.cycles,
+            )
+        assert observed[FastEngine] == observed[Engine]
+
     @pytest.mark.parametrize("hot_icache", [True, False])
     @pytest.mark.parametrize("scoreboard", [False, True])
     @pytest.mark.parametrize("faulting_hart", [0, 2, 5])
-    def test_fault_mirrors_progress_like_reference(
+    def test_multicore_fault_state_like_reference(
         self, faulting_hart, scoreboard, hot_icache
     ):
         """A wild address aborts the run and leaves exactly the state the
