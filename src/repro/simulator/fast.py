@@ -269,14 +269,7 @@ class FastEngine:
         b_reads = [0] * num_banks
         b_writes = [0] * num_banks
         b_conf = [0] * num_banks
-        # Remote-port claims per target tile: a count valid for the cycle
-        # in its stamp, so a new cycle needs no clearing pass.
         port_cur, port_use = router.export_port_state()
-        port_stamp = [-1] * ntiles
-        port_cnt = [0] * ntiles
-        for tile, used in port_use.items():
-            port_stamp[tile] = port_cur
-            port_cnt[tile] = used
         local_req = [0] * ntiles
         remote_in = [0] * ntiles
         local_acc = group_acc = cluster_acc = bank_conf = port_conf = 0
@@ -369,15 +362,14 @@ class FastEngine:
             tile = (word // bpt) % ntiles
             src_tile = core_id // cpt
             if tile != src_tile:
-                if port_stamp[tile] != at:
-                    port_stamp[tile] = at
-                    port_cnt[tile] = 0
+                if at != port_cur:
+                    port_use.clear()
                     port_cur = at
-                used = port_cnt[tile]
+                used = port_use.get(tile, 0)
                 if used >= rports:
                     port_conf += 1
                     return False, 0, 0
-                port_cnt[tile] = used + 1
+                port_use[tile] = used + 1
             flat_bank = tile * bpt + bank
             if bank_busy[flat_bank] == at:
                 b_conf[flat_bank] += 1
@@ -466,7 +458,7 @@ class FastEngine:
                     )
                     self._write_back(
                         mem, flat_banks, bank_busy, b_reads, b_writes, b_conf,
-                        port_cur, port_stamp, port_cnt, local_req, remote_in,
+                        port_cur, port_use, local_req, remote_in,
                         local_acc, group_acc, cluster_acc, bank_conf,
                         port_conf, cores, sb, regs, pc, state, stall_until,
                         pend_reg, pend_data, pending, release, icaches,
@@ -597,18 +589,17 @@ class FastEngine:
                                 tile = (word // bpt) % ntiles
                                 src_tile = i // cpt
                                 if tile != src_tile:
-                                    if port_stamp[tile] != cycle:
-                                        port_stamp[tile] = cycle
-                                        port_cnt[tile] = 0
+                                    if cycle != port_cur:
+                                        port_use.clear()
                                         port_cur = cycle
-                                    used = port_cnt[tile]
+                                    used = port_use.get(tile, 0)
                                     if used >= rports:
                                         port_conf += 1
                                         st_conflict[i] += 1
                                         queue_next.append(i)
                                         t = -1
                                         break
-                                    port_cnt[tile] = used + 1
+                                    port_use[tile] = used + 1
                                 flat_bank = tile * bpt + word % bpt
                                 if bank_busy[flat_bank] == cycle:
                                     b_conf[flat_bank] += 1
@@ -783,12 +774,7 @@ class FastEngine:
                                 queue_next.append(i)
                             else:
                                 last_step[i] = t - 1
-                                entry = sched.get(t)
-                                if entry is None:
-                                    sched[t] = [i]
-                                    heappush(heap, t)
-                                else:
-                                    entry.append(i)
+                                push(i, t)
                         continue
 
                     # ================== ScoreboardSnitchCore =================
@@ -1005,7 +991,7 @@ class FastEngine:
         self.cycle = cycle + 1
         self._write_back(
             mem, flat_banks, bank_busy, b_reads, b_writes, b_conf, port_cur,
-            port_stamp, port_cnt, local_req, remote_in, local_acc, group_acc,
+            port_use, local_req, remote_in, local_acc, group_acc,
             cluster_acc, bank_conf, port_conf, cores, sb, regs, pc, state,
             stall_until, pend_reg, pend_data, pending, release, icaches,
             ic_mode, fetch_hits, last_step, st_instr, st_load, st_store,
@@ -1057,7 +1043,7 @@ class FastEngine:
 
     # ------------------------------------------------------------------
     def _write_back(self, mem, flat_banks, bank_busy, b_reads, b_writes,
-                    b_conf, port_cur, port_stamp, port_cnt, local_req,
+                    b_conf, port_cur, port_use, local_req,
                     remote_in, local_acc, group_acc, cluster_acc, bank_conf,
                     port_conf, cores, sb, regs, pc, state, stall_until,
                     pend_reg, pend_data, pending, release, icaches, ic_mode,
@@ -1084,11 +1070,7 @@ class FastEngine:
         router.stats.cluster_accesses += cluster_acc
         router.stats.bank_conflicts += bank_conf
         router.stats.port_conflicts += port_conf
-        router.import_port_state(port_cur, {
-            tile: used
-            for tile, (stamp, used) in enumerate(zip(port_stamp, port_cnt))
-            if stamp == port_cur and used
-        })
+        router.import_port_state(port_cur, port_use)
         for i, core in enumerate(cores):
             if sb[i]:
                 core.import_state({

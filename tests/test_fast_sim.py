@@ -98,21 +98,27 @@ def _core_state(core):
     return state
 
 
-def _diff_clusters(build, load, max_cycles=5_000_000, raises=None):
+def _diff_clusters(build, load, max_cycles=5_000_000, raises=None,
+                   then=None):
     """Run the same program under both engines; diff everything.
 
     With ``raises``, both runs must raise that error with the same
-    message, and the state each leaves on its cluster is diffed.
+    message, and the state each leaves on its cluster is diffed.  With
+    ``then``, each engine first runs ``load``'s program to completion,
+    then ``then`` loads a second program onto the same cluster, and the
+    second run is diffed: it starts from the port, bank and SPM state
+    the first run left.
     """
     results = {}
     for engine_name in ("reference", "fast"):
+        engine_class = Engine if engine_name == "reference" else FastEngine
         cluster = build()
         load(cluster)
-        if engine_name == "reference":
-            engine = Engine(cluster, max_cycles=max_cycles)
-        else:
-            assert FastEngine.supports(cluster)
-            engine = FastEngine(cluster, max_cycles=max_cycles)
+        if then is not None:
+            engine_class(cluster, max_cycles=max_cycles).run()
+            then(cluster)
+        assert engine_class is Engine or FastEngine.supports(cluster)
+        engine = engine_class(cluster, max_cycles=max_cycles)
         if raises is None:
             outcome = engine.run()
         else:
@@ -198,6 +204,24 @@ def _spin_program():
     b.addi(6, 6, 1)
     b.mul(7, 5, 6)
     b.bne(6, 8, "loop")  # x6 never reaches -1 here
+    b.halt()
+    return b.build()
+
+
+def _port_program(detour):
+    """Each hart of tile 0 stores to its own bank of tile 1 at cycle 4:
+    banks 0-3, or with ``detour`` banks 4-7 after a store to tile 2 at
+    cycle 3."""
+    b = ProgramBuilder()
+    b.csrr_hartid(1)
+    b.li(7, 4)
+    b.mul(7, 1, 7)  # x7 = 4 * hartid: this hart's bank
+    if detour:
+        b.sw(1, 7, 128)
+        b.sw(1, 7, 80)
+    else:
+        b.nop()
+        b.sw(1, 7, 64)
     b.halt()
     return b.build()
 
@@ -344,6 +368,30 @@ class TestEngineStateEquivalence:
         _diff_clusters(
             lambda: MemPoolCluster(_config("2D")), load, max_cycles=40,
             raises=SimulationTimeout,
+        )
+
+    @pytest.mark.parametrize("scoreboard", [False, True])
+    @pytest.mark.parametrize("detour", [False, True])
+    def test_second_run_sees_first_runs_port_claims(self, detour, scoreboard):
+        """The first run leaves all of tile 1's remote ports claimed at
+        cycle 4.  A second run on the same cluster that claims them at
+        cycle 4 again is refused, as in the reference, unless it claimed
+        a port in another cycle first (``detour``): that new cycle clears
+        every stale claim."""
+
+        def load(cluster):
+            cluster.load_program(
+                _port_program(detour=False), num_cores=4,
+                scoreboard=scoreboard,
+            )
+
+        def then(cluster):
+            cluster.load_program(
+                _port_program(detour), num_cores=4, scoreboard=scoreboard
+            )
+
+        _diff_clusters(
+            lambda: MemPoolCluster(_config("2D")), load, then=then
         )
 
     def test_barrier_deadlock_timeout(self):
