@@ -113,30 +113,34 @@ def _print_run_result(result) -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     from .api import Pipeline, Scenario
 
-    if args.scenario:
-        if args.scenario == "-":
-            data = json.load(sys.stdin)
+    if not args.scenario and args.capacity is None:
+        print("repro run: need --scenario FILE or --capacity MIB",
+              file=sys.stderr)
+        return 2
+    try:
+        if args.scenario:
+            if args.scenario == "-":
+                data = json.load(sys.stdin)
+            else:
+                with open(args.scenario, encoding="utf-8") as fh:
+                    data = json.load(fh)
+            if isinstance(data, dict):
+                data = [data]
+            scenarios = [Scenario.from_dict(entry) for entry in data]
         else:
-            with open(args.scenario, encoding="utf-8") as fh:
-                data = json.load(fh)
-        if isinstance(data, dict):
-            data = [data]
-        scenarios = [Scenario.from_dict(entry) for entry in data]
-    else:
-        if args.capacity is None:
-            print("repro run: need --scenario FILE or --capacity MIB",
-                  file=sys.stderr)
-            return 2
-        scenarios = [
-            Scenario(
-                capacity_mib=args.capacity,
-                flow=args.flow,
-                bandwidth=args.bandwidth,
-                matrix_dim=args.matrix_dim,
-                workload=args.workload,
-                objective=args.objective,
-            )
-        ]
+            scenarios = [
+                Scenario(
+                    capacity_mib=args.capacity,
+                    flow=args.flow,
+                    bandwidth=args.bandwidth,
+                    matrix_dim=args.matrix_dim,
+                    workload=args.workload,
+                    objective=args.objective,
+                )
+            ]
+    except ValueError as exc:  # rejected input: one line, no traceback
+        print(f"repro run: {exc}", file=sys.stderr)
+        return 2
     _apply_sim_engine(args)
     pipeline = Pipeline()
     results = []

@@ -184,7 +184,7 @@ class Scenario:
 
     def arch_params(self) -> ArchParams:
         """The architectural parameters (defaults plus overrides)."""
-        return ArchParams(**(self.arch or {}))
+        return ArchParams(**self.arch) if self.arch else _DEFAULT_ARCH
 
     def to_config(self, flow: Optional[Flow] = None) -> MemPoolConfig:
         """The :class:`MemPoolConfig` this scenario describes.
@@ -253,7 +253,7 @@ class Scenario:
     # -- serialization -----------------------------------------------------
     def to_dict(self) -> dict:
         """Canonical plain dict (inverse of :meth:`from_dict`)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in _FIELD_NAMES}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
@@ -262,8 +262,7 @@ class Scenario:
         Raises:
             ValueError: On unknown keys (strict round-trip contract).
         """
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data).difference(_FIELD_NAMES)
         if unknown:
             raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
         return cls(**data)
@@ -362,6 +361,10 @@ class Scenario:
             "stage": "cycles",
             "params": self.cycles_dict(),
         })
+
+
+#: Scenario field names in declaration (and :meth:`Scenario.to_dict`) order.
+_FIELD_NAMES = tuple(f.name for f in fields(Scenario))
 
 
 def scenario_schema() -> dict[str, str]:

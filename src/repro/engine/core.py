@@ -5,8 +5,9 @@ serial :class:`~repro.core.explorer.Explorer`, the ``repro.sweep``
 executor, the ``repro.search`` driver, and the experiment harness all
 funnel their evaluations through :meth:`Engine.run_many`, which
 
-* normalizes :class:`~repro.api.Scenario` and
-  :class:`~repro.sweep.spec.Job` inputs onto content-addressed jobs,
+* adopts each :class:`~repro.api.Scenario` as it is, as a
+  content-addressed :class:`~repro.sweep.spec.Job` view, so each point
+  is built, validated and keyed once,
 * serves repeats from a two-tier cache (bounded in-memory LRU over the
   on-disk :class:`~repro.sweep.cache.ResultCache`),
 * fans the rest out through a pluggable :mod:`execution backend
@@ -45,8 +46,9 @@ ProgressCallback = Callable[[int, int, dict], None]
 def evaluate_job(job: Job, stage_root: Optional[str] = None):
     """Evaluate one job (top-level and picklable: safe to ship to workers).
 
-    Runs the job's canonical scenario through the ``repro.api`` pipeline,
-    so the engine shares one evaluation path with every other consumer —
+    Runs the job's adopted scenario through the ``repro.api`` pipeline
+    (whatever its objective: the objective never reaches a metric), so
+    the engine shares one evaluation path with every other consumer —
     including workloads registered via ``@register_workload``.
 
     Args:

@@ -6,7 +6,8 @@ scales the serial :class:`repro.core.explorer.Explorer` loop into a sweep
 engine:
 
 * :mod:`~repro.sweep.spec` — declarative :class:`SweepSpec` axes
-  cross-producted into hashable, picklable :class:`Job` records;
+  cross-producted into :class:`Job` views, each one validated
+  :class:`repro.api.Scenario` plus its content key;
 * :mod:`~repro.sweep.cache` — content-addressed on-disk
   :class:`ResultCache` (job parameters + code-model version), so repeated
   sweeps are near-free;

@@ -26,7 +26,7 @@ from .store import ResultStore, record_to_point
 def evaluate_job(job: Job, stage_root: Optional[str] = None) -> DesignPoint:
     """Evaluate one job (top-level and picklable: safe to ship to workers).
 
-    Runs the job's canonical scenario through the ``repro.api`` pipeline,
+    Runs the job's adopted scenario through the ``repro.api`` pipeline,
     so the sweep engine shares one evaluation path with every other
     consumer — including workloads registered via ``@register_workload``.
     ``stage_root`` keys the per-process stage memo (see

@@ -3,17 +3,17 @@
 A :class:`SweepSpec` names the axes of a design-space sweep — SPM
 capacity, implementation flow, off-chip bandwidth, matrix dimension, core
 count, phase-model calibration knobs, and workload — and cross-products
-them into :class:`Job` records.  A job is a plain, hashable, picklable
-bag of primitives that serializes to and from a
-:class:`repro.api.Scenario`; its :attr:`Job.key` content address is the
-sha256 of the canonical scenario dict plus the code-model version, which
-is stable across processes and sessions — that is what makes the result
-cache and resumability work.
+them into :class:`Job` records.  A job is a view of one validated
+:class:`repro.api.Scenario` plus its :attr:`Job.key` content address,
+computed once at construction: the sha256 of the canonical scenario dict
+plus the code-model version, which is stable across processes and
+sessions — that is what makes the result cache and resumability work.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Iterator, Optional
 
 from ..api.scenario import CODE_MODEL_VERSION, Scenario
@@ -26,135 +26,101 @@ __all__ = ["CODE_MODEL_VERSION", "FLOW_VALUES", "Job", "SweepSpec"]
 
 FLOW_VALUES = tuple(f.value for f in Flow)
 
+#: Job field names in constructor and :meth:`Job.params` order.  Each
+#: reads the scenario field of the same name, except ``kernel``, which
+#: reads ``workload``.
+_FIELDS = (
+    "capacity_mib", "flow", "bandwidth", "matrix_dim", "num_cores",
+    "cpi_mac", "phase_overhead_cycles", "kernel", "tile_size",
+    "word_bytes", "target_frequency_mhz", "arch",
+)
+_read_fields = attrgetter(*("workload" if f == "kernel" else f for f in _FIELDS))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Job:
     """One fully-resolved design point to evaluate.
 
-    All fields are JSON-serializable primitives so the job can cross
-    process boundaries and hash stably.  Validation and all derived
-    objects (configuration, tiling, phase parameters, cache key) are
-    delegated to the canonical :class:`~repro.api.Scenario` the job
-    serializes into.
+    A job is a view of one validated :class:`~repro.api.Scenario` plus
+    its :attr:`key`, computed at construction in the caller's context:
+    thread and spawn workers never see an ``analytic_engine()`` scope,
+    and the engine matches records to jobs by this key.  Jobs compare
+    and hash by key, and pickle without re-validation, so a worker can
+    emit failure records for a job it cannot itself validate (e.g. a
+    workload registered only in the parent).  The field attributes
+    (``capacity_mib`` ... ``arch``, with ``kernel`` for the scenario's
+    ``workload``) read through to the scenario.
     """
 
-    capacity_mib: int
-    flow: str
-    bandwidth: float = DDR_CHANNEL_BYTES_PER_CYCLE
-    matrix_dim: int = PAPER_MATRIX_DIM
-    num_cores: int = DEFAULT_PHASE_PARAMS.num_cores
-    cpi_mac: float = DEFAULT_PHASE_PARAMS.cpi_mac
-    phase_overhead_cycles: float = DEFAULT_PHASE_PARAMS.phase_overhead_cycles
-    kernel: str = "matmul"
-    tile_size: Optional[int] = None
-    word_bytes: int = 4
-    target_frequency_mhz: float = 1000.0
-    arch: Optional[dict] = None
+    _scenario: Scenario = field(compare=False)
+    key: str
 
-    def __post_init__(self) -> None:
-        # Normalize numeric types so 16 and 16.0 produce the same key.
-        object.__setattr__(self, "capacity_mib", int(self.capacity_mib))
-        object.__setattr__(self, "flow", str(self.flow))
-        object.__setattr__(self, "bandwidth", float(self.bandwidth))
-        object.__setattr__(self, "matrix_dim", int(self.matrix_dim))
-        object.__setattr__(self, "num_cores", int(self.num_cores))
-        object.__setattr__(self, "cpi_mac", float(self.cpi_mac))
-        object.__setattr__(
-            self, "phase_overhead_cycles", float(self.phase_overhead_cycles)
-        )
-        object.__setattr__(self, "kernel", str(self.kernel))
-        object.__setattr__(self, "word_bytes", int(self.word_bytes))
-        object.__setattr__(
-            self, "target_frequency_mhz", float(self.target_frequency_mhz)
-        )
-        # Build the canonical scenario once: strict validation (flow and
-        # workload registries, bounds), flow-name canonicalization, and a
-        # memoized cache key.  The memo survives pickling, so a worker
-        # process can emit failure records for a job it cannot itself
-        # validate (e.g. a workload registered only in the parent).
-        # Scenario-canonicalized fields (flow case, explicit-but-default
-        # tiles, non-default arch overrides) are copied back, so equal
-        # evaluations are equal jobs.
-        scenario = self._build_scenario()
-        object.__setattr__(self, "flow", scenario.flow)
-        object.__setattr__(self, "tile_size", scenario.tile_size)
-        object.__setattr__(self, "arch", scenario.arch)
+    def __init__(
+        self,
+        capacity_mib: int,
+        flow: str,
+        bandwidth: float = DDR_CHANNEL_BYTES_PER_CYCLE,
+        matrix_dim: int = PAPER_MATRIX_DIM,
+        num_cores: int = DEFAULT_PHASE_PARAMS.num_cores,
+        cpi_mac: float = DEFAULT_PHASE_PARAMS.cpi_mac,
+        phase_overhead_cycles: float = DEFAULT_PHASE_PARAMS.phase_overhead_cycles,
+        kernel: str = "matmul",
+        tile_size: Optional[int] = None,
+        word_bytes: int = 4,
+        target_frequency_mhz: float = 1000.0,
+        arch: Optional[dict] = None,
+    ) -> None:
+        self._adopt(Scenario(
+            capacity_mib=capacity_mib, flow=flow, bandwidth=bandwidth,
+            matrix_dim=matrix_dim, num_cores=num_cores, cpi_mac=cpi_mac,
+            phase_overhead_cycles=phase_overhead_cycles, workload=kernel,
+            tile_size=tile_size, word_bytes=word_bytes,
+            target_frequency_mhz=target_frequency_mhz, arch=arch,
+        ))
+
+    def _adopt(self, scenario: Scenario) -> None:
         object.__setattr__(self, "_scenario", scenario)
-        object.__setattr__(self, "_key", scenario.cache_key)
-
-    def _build_scenario(self, objective: str = "edp") -> Scenario:
-        return Scenario(
-            capacity_mib=self.capacity_mib,
-            flow=self.flow,
-            bandwidth=self.bandwidth,
-            matrix_dim=self.matrix_dim,
-            num_cores=self.num_cores,
-            cpi_mac=self.cpi_mac,
-            phase_overhead_cycles=self.phase_overhead_cycles,
-            workload=self.kernel,
-            objective=objective,
-            tile_size=self.tile_size,
-            word_bytes=self.word_bytes,
-            target_frequency_mhz=self.target_frequency_mhz,
-            arch=self.arch,
-        )
-
-    def scenario(self, objective: str = "edp") -> Scenario:
-        """The canonical :class:`~repro.api.Scenario` of this job."""
-        cached = self.__dict__.get("_scenario")
-        if cached is not None and cached.objective == objective:
-            return cached
-        return self._build_scenario(objective)
+        object.__setattr__(self, "key", scenario.cache_key)
 
     @classmethod
     def from_scenario(cls, scenario: Scenario) -> "Job":
-        """The job evaluating ``scenario`` (inverse of :meth:`scenario`)."""
-        return cls(
-            capacity_mib=scenario.capacity_mib,
-            flow=scenario.flow,
-            bandwidth=scenario.bandwidth,
-            matrix_dim=scenario.matrix_dim,
-            num_cores=scenario.num_cores,
-            cpi_mac=scenario.cpi_mac,
-            phase_overhead_cycles=scenario.phase_overhead_cycles,
-            kernel=scenario.workload,
-            tile_size=scenario.tile_size,
-            word_bytes=scenario.word_bytes,
-            target_frequency_mhz=scenario.target_frequency_mhz,
-            arch=scenario.arch,
-        )
+        """The job evaluating ``scenario``, adopted as is (not rebuilt)."""
+        job = cls.__new__(cls)
+        job._adopt(scenario)
+        return job
+
+    def __getattr__(self, name: str) -> object:
+        if name not in _FIELDS:
+            raise AttributeError(f"'Job' object has no attribute {name!r}")
+        return getattr(self._scenario, "workload" if name == "kernel" else name)
+
+    def scenario(self, objective: Optional[str] = None) -> Scenario:
+        """The adopted scenario, or a copy ranked by ``objective``."""
+        if objective is None or objective == self._scenario.objective:
+            return self._scenario
+        return self._scenario.replace(objective=objective)
 
     def params(self) -> dict[str, object]:
         """The job as a plain dict (field order preserved)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @property
-    def key(self) -> str:
-        """Content address: sha256 of the canonical scenario dict plus
-        :data:`CODE_MODEL_VERSION` (memoized at construction)."""
-        cached = self.__dict__.get("_key")
-        if cached is not None:
-            return cached
-        key = self.scenario().cache_key
-        object.__setattr__(self, "_key", key)
-        return key
+        return dict(zip(_FIELDS, _read_fields(self._scenario)))
 
     @property
     def label(self) -> str:
         """Human-readable point label, e.g. ``MemPool-3D-4MiB@16B/c``."""
-        return f"MemPool-{self.flow}-{self.capacity_mib}MiB@{self.bandwidth:g}B/c"
+        s = self._scenario
+        return f"MemPool-{s.flow}-{s.capacity_mib}MiB@{s.bandwidth:g}B/c"
 
     def to_config(self) -> MemPoolConfig:
         """The architectural configuration this job evaluates."""
-        return self.scenario().to_config()
+        return self._scenario.to_config()
 
     def tiling(self) -> TilingPlan:
         """Tiling plan: the paper's for paper points, fitted otherwise."""
-        return self.scenario().tiling()
+        return self._scenario.tiling()
 
     def phase_params(self) -> PhaseModelParams:
         """Phase-model calibration for this job."""
-        return self.scenario().phase_params()
+        return self._scenario.phase_params()
 
     @classmethod
     def from_params(cls, params: dict[str, object]) -> "Job":

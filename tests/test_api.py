@@ -321,3 +321,79 @@ class TestCacheVersioning:
         outcome = SweepExecutor(cache=cache).run([job])
         assert outcome.stats.evaluated == 1  # stale entry was not served
         assert outcome.records[0]["metrics"].get("stale") is None
+
+
+#: Scenarios whose content keys are pinned below, by name.
+_PINNED_SCENARIOS = {
+    "default": dict(capacity_mib=1),
+    "3d-overrides": dict(capacity_mib=4, flow="3D", bandwidth=16,
+                         tile_size=272, arch={"core_kge": 80.0},
+                         target_frequency_mhz=900.0),
+    "dotp": dict(capacity_mib=1, workload="dotp", matrix_dim=1024,
+                 num_cores=32),
+    "performance": dict(capacity_mib=1, objective="performance"),
+}
+
+#: (cache_key, physical_key, cycles_key) of each pinned scenario under
+#: CODE_MODEL_VERSION 2.31d79d701455.  Changing any of these bytes turns
+#: every existing cache directory cold, so it must be deliberate.
+_PINNED_KEYS = {
+    "default": (
+        "3042047d9009761cc29d4167ae11202d59a9ac0e1f82f12c866e38f773c59508",
+        "21419eed8793881119b2650148592c2e25d36832f70643aea02a13460ec9469b",
+        "815c6f60bcb4472c573a03f759e2d9d2ec0417542158f9c8056f20416aa87b99",
+    ),
+    "3d-overrides": (
+        "e49e697475efddddeea5168ead25cf611e55fa2295d45633add660c0a58bcecc",
+        "96a95cac69ea23797f03885fe796b695d3339aef5be0526676abe4807f8ae2d2",
+        "e8677c456331c667e9e0de32687804bc2c24035d77f193edb1d012a5ba4092f2",
+    ),
+    "dotp": (
+        "01b4b221a445dedd88e2cfe3b33ed26f5caf8428cd0db7b6bf114b061bc49881",
+        "21419eed8793881119b2650148592c2e25d36832f70643aea02a13460ec9469b",
+        "ed5a99abd099f4022515d20c423963383601c083a7c90484f5bd2d2d952881a5",
+    ),
+    # The objective never reaches a key: the default scenario's bytes.
+    "performance": (
+        "3042047d9009761cc29d4167ae11202d59a9ac0e1f82f12c866e38f773c59508",
+        "21419eed8793881119b2650148592c2e25d36832f70643aea02a13460ec9469b",
+        "815c6f60bcb4472c573a03f759e2d9d2ec0417542158f9c8056f20416aa87b99",
+    ),
+}
+
+
+class TestPinnedKeyBytes:
+    """Existing caches keep serving only while the key bytes hold."""
+
+    def test_model_version(self):
+        assert CODE_MODEL_VERSION == "2.31d79d701455"
+
+    @pytest.mark.parametrize("name", sorted(_PINNED_SCENARIOS))
+    def test_keys(self, name):
+        scenario = Scenario(**_PINNED_SCENARIOS[name])
+        keys = (scenario.cache_key, scenario.physical_key, scenario.cycles_key)
+        assert keys == _PINNED_KEYS[name]
+
+    def test_record_job_params(self):
+        from repro.sweep import Job, point_to_record
+
+        scenario = Scenario(**_PINNED_SCENARIOS["3d-overrides"])
+        point = Pipeline().run(scenario).to_design_point()
+        record = point_to_record(Job.from_scenario(scenario), point)
+        assert record["key"] == _PINNED_KEYS["3d-overrides"][0]
+        expected = {
+            "capacity_mib": 4,
+            "flow": "3D",
+            "bandwidth": 16.0,
+            "matrix_dim": 326400,
+            "num_cores": 256,
+            "cpi_mac": 2.9,
+            "phase_overhead_cycles": 10000.0,
+            "kernel": "matmul",
+            "tile_size": 272,
+            "word_bytes": 4,
+            "target_frequency_mhz": 900.0,
+            "arch": {"core_kge": 80.0},
+        }
+        assert record["job"] == expected
+        assert list(record["job"]) == list(expected)  # key order too

@@ -166,6 +166,32 @@ class TestRunCommand:
         assert main(["run"]) == 2
         assert "need --scenario" in capsys.readouterr().err
 
+    @staticmethod
+    def _assert_one_line_error(capsys, message):
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("repro run: ")
+        assert message in lines[0]
+        assert "Traceback" not in captured.err + captured.out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--capacity", "4", "--flow", "2.5D"], "unknown flow '2.5D'"),
+        (["--capacity", "0"], "SPM capacity must be positive"),
+        (["--capacity", "4", "--workload", "fft"], "unknown workload 'fft'"),
+    ])
+    def test_rejected_flags_exit_2_with_one_line(self, capsys, argv, message):
+        assert main(["run", *argv]) == 2
+        self._assert_one_line_error(capsys, message)
+
+    def test_rejected_scenario_file_exits_2_with_one_line(self, capsys,
+                                                          tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"capacity_mib": 4, "flows": "3D"}))
+        assert main(["run", "--scenario", str(path)]) == 2
+        self._assert_one_line_error(capsys,
+                                    "unknown scenario fields: ['flows']")
+
 
 class TestListCommand:
     def test_list_workloads(self, capsys):

@@ -268,6 +268,67 @@ class TestEngine:
         assert outcome.stats.failed == 4
 
 
+
+class TestOneBuildPerPoint:
+    """The engine adopts the caller's scenarios: each point is built,
+    validated and keyed once, never rebuilt into a second Scenario."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        from repro.api import Scenario
+
+        calls = []
+        original = Scenario.__post_init__
+
+        def counting(scenario):
+            calls.append(scenario)
+            original(scenario)
+
+        monkeypatch.setattr(Scenario, "__post_init__", counting)
+        return calls
+
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    def test_engine_builds_no_scenario_for_prebuilt_grid(self, builds,
+                                                         backend):
+        scenarios = [job.scenario() for job in PAPER_GRID.jobs()]
+        builds.clear()
+        outcome = Engine(backend=backend, workers=2).run(scenarios)
+        assert outcome.stats.evaluated == 56
+        assert outcome.stats.failed == 0
+        assert len(builds) == 0
+
+    def test_from_scenario_adopts_the_scenario(self):
+        from repro.api import Scenario
+
+        scenario = Scenario(capacity_mib=2, flow="3D", bandwidth=8)
+        assert Job.from_scenario(scenario).scenario() is scenario
+
+    def test_pickle_roundtrip_builds_no_scenario(self, builds):
+        import pickle
+
+        from repro.api import Scenario
+
+        scenario = Scenario(capacity_mib=4, flow="3D", bandwidth=16,
+                            arch={"core_kge": 80.0})
+        builds.clear()
+        job = Job.from_scenario(scenario)
+        clone = pickle.loads(pickle.dumps(job))
+        assert clone.key == job.key
+        assert clone.params() == job.params()
+        assert clone == job
+        assert len(builds) == 0
+
+    def test_objective_reaches_neither_key_nor_params(self):
+        from repro.api import Scenario
+
+        edp = Job.from_scenario(Scenario(capacity_mib=1, flow="3D"))
+        performance = Job.from_scenario(
+            Scenario(capacity_mib=1, flow="3D", objective="performance")
+        )
+        assert performance.key == edp.key
+        assert performance.params() == edp.params()
+
+
 class TestCacheMaintenance:
     def test_stats_counts_entries_bytes_and_hits(self, tmp_path):
         cache = ResultCache(tmp_path)
