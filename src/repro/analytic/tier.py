@@ -24,7 +24,9 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Optional
 
+from ..api.registry import PREDICTORS
 from ..obs.metrics import counter
+from ..simulator.engine import default_sim_engine
 from .calibrate import ensure_calibrated
 from .store import calibration_store_for
 
@@ -74,13 +76,8 @@ def analytic_mode_active(workload: str) -> bool:
     forced = _FORCE_TIER.get()
     if forced is False:
         return False
-    if forced is None:
-        from ..simulator.engine import default_sim_engine
-
-        if default_sim_engine() != "analytic":
-            return False
-    from ..api.registry import PREDICTORS
-
+    if forced is None and default_sim_engine() != "analytic":
+        return False
     return workload in PREDICTORS
 
 
@@ -143,8 +140,6 @@ def predict_cycles(scenario, root: str | None = None) -> Optional[float]:
         Predicted cycles (``>= 1``), or ``None`` when the caller must
         evaluate through the workload plugin instead.
     """
-    from ..api.registry import PREDICTORS
-
     workload = scenario.workload
     if workload not in PREDICTORS:
         _count(root, "analytic_fallbacks", _FALLBACKS)

@@ -14,7 +14,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import re
 from dataclasses import dataclass, fields, replace
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import Optional
 
 from ..core.config import (
@@ -36,6 +40,12 @@ from .registry import FLOWS, OBJECTIVES, WORKLOADS
 _ENUM_FLOWS = tuple(f.value for f in Flow)
 
 _DEFAULT_ARCH = ArchParams()
+
+#: Float fields the sign checks cannot bound: NaN compares false with
+#: everything, and infinity is positive.
+_FINITE_FIELDS = (
+    "bandwidth", "cpi_mac", "phase_overhead_cycles", "target_frequency_mhz"
+)
 
 
 def arch_overrides(arch: ArchParams) -> Optional[dict]:
@@ -111,6 +121,10 @@ class Scenario:
             self, "target_frequency_mhz", float(self.target_frequency_mhz)
         )
 
+        for name in _FINITE_FIELDS:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.capacity_mib <= 0:
             raise ValueError("SPM capacity must be positive")
         if self.bandwidth <= 0:
@@ -331,36 +345,20 @@ class Scenario:
         del data["target_frequency_mhz"]
         return data
 
-    @staticmethod
-    def _digest(payload: dict) -> str:
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
     @property
     def cache_key(self) -> str:
         """Content address: sha256 of the canonical evaluation dict."""
-        return self._digest({
-            "model_version": CODE_MODEL_VERSION,
-            "scenario": self.cache_dict(),
-        })
+        return _CACHE_KEY.digest(self)
 
     @property
     def physical_key(self) -> str:
         """Content address of the physical stage (see :meth:`physical_dict`)."""
-        return self._digest({
-            "model_version": CODE_MODEL_VERSION,
-            "stage": "physical",
-            "params": self.physical_dict(),
-        })
+        return _PHYSICAL_KEY.digest(self)
 
     @property
     def cycles_key(self) -> str:
         """Content address of the workload stage (see :meth:`cycles_dict`)."""
-        return self._digest({
-            "model_version": CODE_MODEL_VERSION,
-            "stage": "cycles",
-            "params": self.cycles_dict(),
-        })
+        return _CYCLES_KEY.digest(self)
 
 
 #: Scenario field names in declaration (and :meth:`Scenario.to_dict`) order.
@@ -384,6 +382,94 @@ def _schema_digest() -> str:
 #: automatically invalidates cache entries written under the old
 #: encoding instead of silently reusing them.
 CODE_MODEL_VERSION = f"2.{_schema_digest()}"
+
+#: The encoder of every key, for the values with no fast path below.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+#: What :data:`_ENCODER` writes for each exact type a key field holds.
+#: Validation leaves only finite floats, which it writes as their repr.
+_ENCODE = {
+    float: float.__repr__,
+    int: int.__repr__,
+    str: encode_basestring_ascii,
+    type(None): lambda _: "null",
+}
+
+#: A template slot: the JSON of the placeholder ``"\0" + field name``.
+_SLOT = re.compile(r'"\\u0000(\w*)"')
+
+
+class _KeyTemplate:
+    """A content key: sha256 of the canonical JSON of its payload,
+    ``json.dumps(payload, sort_keys=True, separators=(",", ":"))``.
+
+    ``payload(version, view)`` wraps one of the scenario's dict views.
+    The bytes are written by filling a template, so no dict is built
+    and no ``json.dumps`` runs per key.  The template is that JSON with
+    a ``%s`` slot for the version and for each scenario field of the
+    view; anything else in the view (the ``evaluation_tier`` marker
+    :meth:`Scenario.cache_dict` adds while the analytic tier serves the
+    workload) is kept as written.  It is derived from the view itself,
+    on first use with the analytic tier off and again with it on, so a
+    field added to a view reaches its key with no edit here.
+    """
+
+    def __init__(self, view, payload) -> None:
+        self.view = view
+        self.payload = payload
+        self.forms = [None, None]  # (template, field getter) per tier
+
+    def digest(self, scenario: Scenario) -> str:
+        tier = _analytic_mode_active(scenario.workload)
+        template, getter = self.forms[tier] or self._derive(scenario, tier)
+        get, other = _ENCODE.get, _ENCODER.encode
+        blob = template % (
+            encode_basestring_ascii(CODE_MODEL_VERSION),
+            *[get(type(value), other)(value) for value in getter(scenario)],
+        )
+        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+    def _derive(self, scenario: Scenario, tier: bool) -> tuple:
+        view = {
+            name: "\0" + name if name in _FIELD_NAMES else value
+            for name, value in self.view(scenario).items()
+        }
+        blob = json.dumps(
+            self.payload("\0", view), sort_keys=True, separators=(",", ":")
+        ).replace("%", "%%")
+        # "model_version" sorts first in every payload: the version's
+        # empty-named slot comes first.
+        names = _SLOT.findall(blob)[1:]
+        form = self.forms[tier] = (_SLOT.sub("%s", blob), attrgetter(*names))
+        return form
+
+
+def _analytic_mode_active(workload: str) -> bool:
+    # The analytic tier is too slow to import with this module; bind its
+    # check on first use.
+    global _analytic_mode_active
+    from ..analytic.tier import analytic_mode_active
+
+    _analytic_mode_active = analytic_mode_active
+    return analytic_mode_active(workload)
+
+
+_CACHE_KEY = _KeyTemplate(
+    Scenario.cache_dict,
+    lambda version, view: {"model_version": version, "scenario": view},
+)
+_PHYSICAL_KEY = _KeyTemplate(
+    Scenario.physical_dict,
+    lambda version, view: {
+        "model_version": version, "stage": "physical", "params": view,
+    },
+)
+_CYCLES_KEY = _KeyTemplate(
+    Scenario.cycles_dict,
+    lambda version, view: {
+        "model_version": version, "stage": "cycles", "params": view,
+    },
+)
 
 
 def paper_scenarios(

@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import math
+from contextlib import nullcontext
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.analytic import analytic_engine
 from repro.api import (
     CODE_MODEL_VERSION,
     FLOWS,
@@ -88,6 +93,16 @@ class TestScenario:
     def test_strict_validation(self, kwargs):
         with pytest.raises(ValueError):
             Scenario(**{"capacity_mib": 1, **kwargs})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", [
+        "bandwidth", "cpi_mac", "phase_overhead_cycles",
+        "target_frequency_mhz",
+    ])
+    def test_non_finite_floats_are_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be finite, got {value}$"):
+            Scenario(capacity_mib=1, **{field: value})
 
     def test_tiling_matches_paper_and_fit(self):
         assert Scenario(capacity_mib=2, flow="2D").tiling().tile_size == 384
@@ -374,6 +389,40 @@ class TestPinnedKeyBytes:
         keys = (scenario.cache_key, scenario.physical_key, scenario.cycles_key)
         assert keys == _PINNED_KEYS[name]
 
+    def test_keys_inside_analytic_engine(self):
+        with analytic_engine():
+            scenario = Scenario(**_PINNED_SCENARIOS["dotp"])
+            keys = (scenario.cache_key, scenario.physical_key,
+                    scenario.cycles_key)
+        assert keys == (
+            "e09955d3b37bafd35d55232a41d6e17adde2b9082c728c4d7df96999103e47db",
+            # The physical key carries no evaluation-tier marker.
+            "21419eed8793881119b2650148592c2e25d36832f70643aea02a13460ec9469b",
+            "df4aab7bc8e0f09f693cf1d020339bbad9569fefad23874d5a7092e0dd6209dd",
+        )
+
+    def test_keys_of_an_escaped_flow_name(self):
+        from repro.api import register_flow
+
+        name = 'interposer "\u00e9"'  # JSON: "interposer \"\u00e9\""
+
+        @register_flow(name)
+        def interposer_flow(scenario):
+            raise AssertionError("keys never run the flow")
+
+        try:
+            scenario = Scenario(capacity_mib=2, flow=name, bandwidth=1e-05,
+                                target_frequency_mhz=0.30000000000000004)
+            keys = (scenario.cache_key, scenario.physical_key,
+                    scenario.cycles_key)
+        finally:
+            FLOWS.unregister(name)
+        assert keys == (
+            "46fabd932500a4ace6597346d6e1626a3939f362ad4911edb91363ff660dd8fb",
+            "05bd15d4d4ccee3512dbd06dbb90649801a2276c5501383d8efc74332f743748",
+            "eab47b0e45fb2c847dbc1b0f9e21e3f9fcb031a330391ab3ccfe79697581cb0f",
+        )
+
     def test_record_job_params(self):
         from repro.sweep import Job, point_to_record
 
@@ -397,3 +446,63 @@ class TestPinnedKeyBytes:
         }
         assert record["job"] == expected
         assert list(record["job"]) == list(expected)  # key order too
+
+
+@st.composite
+def _public_scenarios(draw):
+    """A valid scenario over the public axes, as constructor kwargs."""
+    matrix_dim = draw(st.sampled_from([256, 1024, 4096, 326400]))
+    return dict(
+        capacity_mib=draw(st.sampled_from([1, 2, 4, 8])),
+        flow=draw(st.sampled_from(["2D", "3D", "2d", "3d"])),
+        bandwidth=draw(st.one_of(
+            st.sampled_from([1e-07, 1e+16, 2.5e-05, 16.0]),
+            st.floats(min_value=1e-12, max_value=1e18),
+        )),
+        matrix_dim=matrix_dim,
+        tile_size=draw(st.sampled_from([None, 8, 16, 64, 128, 256])),
+        word_bytes=draw(st.sampled_from([4, 8])),
+        num_cores=draw(st.integers(min_value=1, max_value=1024)),
+        cpi_mac=draw(st.floats(min_value=0.01, max_value=100.0)),
+        phase_overhead_cycles=draw(st.floats(min_value=0.0, max_value=1e7)),
+        workload=draw(st.sampled_from(
+            ["matmul", "dotp", "axpy", "conv2d", "matvec", "stencil5"]
+        )),
+        objective=draw(st.sampled_from(["edp", "performance"])),
+        arch=draw(st.one_of(
+            st.none(),
+            st.builds(lambda kge: {"core_kge": kge},
+                      st.floats(min_value=1.0, max_value=1e6)),
+            st.just({"cores_per_tile": 8}),
+        )),
+        target_frequency_mhz=draw(st.floats(min_value=1.0, max_value=5e3)),
+    )
+
+
+def _json_dumps_keys(scenario):
+    """The three keys as sha256 of ``json.dumps`` of each dict view."""
+    def digest(payload):
+        blob = json.dumps({"model_version": CODE_MODEL_VERSION, **payload},
+                          sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+    return (
+        digest({"scenario": scenario.cache_dict()}),
+        digest({"stage": "physical", "params": scenario.physical_dict()}),
+        digest({"stage": "cycles", "params": scenario.cycles_dict()}),
+    )
+
+
+class TestKeyTemplates:
+    """Each key template writes exactly ``json.dumps`` of its view."""
+
+    @pytest.mark.parametrize("tier", ["default", "analytic"])
+    @settings(max_examples=60, deadline=None)
+    @given(kwargs=_public_scenarios())
+    def test_keys_equal_json_dumps_of_views(self, tier, kwargs):
+        scope = analytic_engine() if tier == "analytic" else nullcontext()
+        with scope:
+            scenario = Scenario(**kwargs)
+            keys = (scenario.cache_key, scenario.physical_key,
+                    scenario.cycles_key)
+            assert keys == _json_dumps_keys(scenario)

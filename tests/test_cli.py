@@ -179,6 +179,8 @@ class TestRunCommand:
         (["--capacity", "4", "--flow", "2.5D"], "unknown flow '2.5D'"),
         (["--capacity", "0"], "SPM capacity must be positive"),
         (["--capacity", "4", "--workload", "fft"], "unknown workload 'fft'"),
+        (["--capacity", "1", "--bandwidth", "nan"],
+         "bandwidth must be finite, got nan"),
     ])
     def test_rejected_flags_exit_2_with_one_line(self, capsys, argv, message):
         assert main(["run", *argv]) == 2

@@ -186,6 +186,16 @@ class TestServiceEndToEnd:
             with pytest.raises(ServiceError) as excinfo:
                 client._request("POST", "/v1/runs", {"scenarios": []})
             assert excinfo.value.status == 400
+            # Python's json reads the NaN token, so it reaches Scenario.
+            with pytest.raises(ServiceError) as excinfo:
+                client._request("POST", "/v1/runs", {
+                    "scenario": {"capacity_mib": 1, "bandwidth": float("nan")},
+                    "sync": True,
+                })
+            assert excinfo.value.status == 400
+            assert excinfo.value.message == (
+                "bad scenario: bandwidth must be finite, got nan"
+            )
 
     def test_stop_after_client_disconnect_is_quiet(self, tmp_path, caplog):
         """Stopping right after a client closes logs no handler traceback.
