@@ -1,4 +1,4 @@
-"""Benchmark: the calibrated analytic tier vs fast vs batched evaluation.
+"""Benchmark: the calibrated analytic tier vs the fast engine.
 
 Two questions, one artifact (``BENCH_analytic.json``):
 
@@ -10,11 +10,10 @@ Two questions, one artifact (``BENCH_analytic.json``):
   ``trajectory check`` gates on ``all_within_bound`` — never on timing.
 * **Throughput** — evaluate the paper's full 56-point grid (4
   capacities x 2 flows x 7 bandwidths) through calibrated predictions
-  and race that against a serial fast-engine loop and a FleetEngine
-  batch over a subset, recording points/sec for all three tiers.  The
-  acceptance floor (>= 50x over serial fast) is asserted here with a
-  few-hundred-x margin; wall-clock numbers themselves are recorded,
-  not gated.
+  and race that against a serial fast-engine loop over a subset,
+  recording points/sec for both tiers.  The acceptance floor (>= 50x
+  over serial fast) is asserted here with a few-hundred-x margin;
+  wall-clock numbers themselves are recorded, not gated.
 """
 
 import gc
@@ -27,10 +26,7 @@ from repro.analytic.store import _reset_stores
 from repro.analytic.tier import analytic_engine
 from repro.api import Scenario
 from repro.api.registry import WORKLOADS, available_predictors
-from repro.core.config import Flow, MemPoolConfig
-from repro.kernels.workloads import prepare_dotp
 from repro.obs.report import stamp_bench
-from repro.simulator.fleet import FleetEngine
 
 ARTIFACT = "BENCH_analytic.json"
 
@@ -76,7 +72,7 @@ def _emit_artifact(write_bench):
     if not _RESULTS:
         return
     write_bench(ARTIFACT, stamp_bench({
-        "benchmark": "analytic tier-0 vs fast vs batched",
+        "benchmark": "analytic tier-0 vs fast",
         "generated_unix": int(time.time()),
         "workloads": _RESULTS.get("workloads", {}),
         "throughput": _RESULTS.get("throughput", {}),
@@ -113,7 +109,7 @@ def test_error_distribution_within_declared_bounds():
 
 
 def test_throughput_56_point_grid_vs_fast_vs_batched():
-    """Tier-0 evaluates the full paper grid; fast/batched race a subset."""
+    """Tier-0 evaluates the full paper grid; the fast engine races a subset."""
     grid = _grid()
     subset = [s for s in grid if s.capacity_mib == 1 and s.flow == "2D"]
 
@@ -136,24 +132,10 @@ def test_throughput_56_point_grid_vs_fast_vs_batched():
         t0 = time.perf_counter()
         simulated = [float(WORKLOADS.get("dotp")(s)) for s in subset]
         fast_s = time.perf_counter() - t0
-
-        lanes = [
-            prepare_dotp(
-                MemPoolConfig(capacity_mib=1, flow=Flow.FLOW_2D),
-                GRID_DIM, 256, seed=i,
-            )
-            for i in range(len(subset))
-        ]
-        t0 = time.perf_counter()
-        outcomes = FleetEngine([cluster for cluster, _fin in lanes]).run()
-        batched_s = time.perf_counter() - t0
     finally:
         gc.enable()
 
     assert all(p is not None for p in predictions)
-    assert all(out.error is None for out in outcomes)
-    for (_cluster, finish), out in zip(lanes, outcomes):
-        assert finish(out.result).correct
     # Tier-0 accuracy sanity on the live grid: every prediction lands
     # within the declared dotp bound of its simulated twin.
     bound = 0.05
@@ -164,7 +146,6 @@ def test_throughput_56_point_grid_vs_fast_vs_batched():
 
     analytic_pps = len(grid) / max(analytic_s, 1e-9)
     fast_pps = len(subset) / max(fast_s, 1e-9)
-    batched_pps = len(lanes) / max(batched_s, 1e-9)
     speedup = analytic_pps / fast_pps
     _RESULTS["throughput"] = {
         "grid_points": len(grid),
@@ -173,14 +154,10 @@ def test_throughput_56_point_grid_vs_fast_vs_batched():
         "fast_points": len(subset),
         "fast_s": round(fast_s, 4),
         "fast_points_per_s": round(fast_pps, 2),
-        "batched_points": len(lanes),
-        "batched_s": round(batched_s, 4),
-        "batched_points_per_s": round(batched_pps, 2),
         "speedup_vs_fast": round(speedup, 1),
     }
     print(f"\n56-point grid: analytic {analytic_pps:,.0f} pts/s, "
-          f"fast {fast_pps:.1f} pts/s, batched {batched_pps:.1f} pts/s "
-          f"-> {speedup:,.0f}x vs serial fast")
+          f"fast {fast_pps:.1f} pts/s -> {speedup:,.0f}x vs serial fast")
     # The acceptance floor, with a few-hundred-x margin: a warm
     # prediction is arithmetic, a fast-engine point is a simulation.
     assert speedup >= 50.0

@@ -13,10 +13,9 @@ Run:  python examples/design_space_exploration.py [bandwidth_B_per_cycle ...]
 import sys
 import tempfile
 
-from repro.engine import Engine, cache_stats
+from repro.engine import Engine
 from repro.search import Searcher, paper_space
 from repro.sweep import (
-    Job,
     ResultCache,
     SweepExecutor,
     SweepSpec,
@@ -35,33 +34,6 @@ def engine_demo(spec: SweepSpec) -> None:
     print(f"  cold: {cold.stats.summary()}")
     print(f"  warm: {warm.stats.summary()}")
     assert warm.stats.evaluated == 0
-
-
-def batched_demo() -> None:
-    """Simulator-backed grids: the `batched` backend fleet-batches them.
-
-    Cache-miss jobs group into compatibility classes and step through
-    one FleetEngine event loop; records stay byte-identical to the
-    serial backend (the analytic matmul of the other demos would simply
-    fall back, so this grid uses simulated kernels).
-    """
-    jobs = [
-        Job(capacity_mib=1, flow=flow, matrix_dim=dim, num_cores=16,
-            kernel=kernel)
-        for dim in (96, 128, 160, 192)
-        for kernel in ("dotp", "axpy")
-        for flow in ("2D", "3D")
-    ]
-    with tempfile.TemporaryDirectory(prefix="batched-cache-") as cache_dir:
-        engine = Engine(backend="batched", cache=ResultCache(cache_dir))
-        outcome = engine.run(jobs)
-        stats = cache_stats(cache_dir)
-        print("batched backend (cross-scenario fleet batching):")
-        print(f"  {len(jobs)} simulator-backed jobs: "
-              f"{outcome.stats.summary()}")
-        print(f"  batches formed: {stats['batches_formed']}, "
-              f"lanes: {stats['batch_lanes']}, "
-              f"serial fallbacks: {stats['batch_fallbacks']}")
 
 
 def analytic_demo() -> None:
@@ -132,9 +104,6 @@ def main() -> None:
 
     print()
     engine_demo(spec)
-
-    print()
-    batched_demo()
 
     print()
     analytic_demo()

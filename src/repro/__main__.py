@@ -10,7 +10,6 @@ Usage::
     python -m repro check [--json] [--rule REP003] [paths ...]
     python -m repro explore --bandwidth 16
     python -m repro sweep --workers 4 --backend thread --progress
-    python -m repro sweep --backend batched --kernels dotp,axpy
     python -m repro search --strategy evolutionary --budget 28
     python -m repro cache stats [--json]
     python -m repro cache gc --keep-version
@@ -18,7 +17,7 @@ Usage::
     python -m repro report results.jsonl --objective edp --pareto
     python -m repro report results.jsonl --html report.html --trajectory BENCH_trajectory.json
     python -m repro metrics --url http://127.0.0.1:8787 [--prometheus]
-    python -m repro trajectory append --sim BENCH_sim.json --fleet BENCH_fleet.json
+    python -m repro trajectory append --sim BENCH_sim.json --service BENCH_service.json
     python -m repro trajectory check --file BENCH_trajectory.json
     python -m repro experiments [table1 table2 fig6 fig789]
     python -m repro serve --port 8787 --cache-dir .sweep-cache
@@ -36,7 +35,11 @@ def _cmd_implement(args: argparse.Namespace) -> int:
     from .physical.cluster_level import implement_cluster
     from .physical.flow3d import implement_group
 
-    config = config_by_name(args.config)
+    try:
+        config = config_by_name(args.config)
+    except ValueError as exc:  # rejected input: one line, no traceback
+        print(f"repro implement: {exc}", file=sys.stderr)
+        return 2
     impl = implement_group(config)
     result = impl.to_group_result()
     print(f"{config.name} group implementation ({impl.stack.name} BEOL):")
@@ -76,7 +79,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from .kernels.workloads import run_axpy, run_conv2d, run_dotp
 
     _apply_sim_engine(args)
-    config = config_by_name(args.config)
+    try:
+        config = config_by_name(args.config)
+    except ValueError as exc:  # rejected input: one line, no traceback
+        print(f"repro simulate: {exc}", file=sys.stderr)
+        return 2
     if args.kernel == "matmul":
         run = run_matmul(config, n=args.n, num_cores=args.cores,
                          scoreboard=args.scoreboard)
@@ -271,12 +278,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         core_counts=args.core_counts,
         kernels=args.kernels,
     )
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    store = ResultStore(args.store) if args.store else None
     # Resolve once so the status line reports what will actually run
     # (backend default policy and auto-sized worker pools live in
     # resolve_backend, not here); the instance is handed to the shim.
-    backend = resolve_backend(args.backend, workers=args.workers)
+    try:
+        backend = resolve_backend(args.backend, workers=args.workers)
+        jobs = list(spec.jobs())
+    except ValueError as exc:  # rejected input: one line, no traceback
+        print(f"repro sweep: {exc}", file=sys.stderr)
+        return 2
+    cache = None if args.no_cache else ResultCache(args.cache_dir)
+    store = ResultStore(args.store) if args.store else None
     executor = SweepExecutor(
         cache=cache,
         workers=args.workers,
@@ -286,10 +298,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     name = getattr(backend, "name", type(backend).__name__)
     workers = getattr(backend, "workers", 1)
-    print(f"sweeping {len(spec)} design points "
+    print(f"sweeping {len(jobs)} design points "
           f"({name} backend, {workers} worker{'s' if workers != 1 else ''})...")
     try:
-        outcome = executor.run(spec)
+        outcome = executor.run(jobs)
     except KeyboardInterrupt:
         return _interrupted("sweep", cached=not args.no_cache)
     print(outcome.stats.summary())
@@ -338,31 +350,36 @@ def _cmd_search(args: argparse.Namespace) -> int:
         print("repro search: need at least one axis with several values",
               file=sys.stderr)
         return 2
-    space = SearchSpace(axes, **base)
+    try:
+        space = SearchSpace(axes, **base)
 
-    archive = None
-    if args.archive:
-        # A fresh search resets only its own default artifact; --resume
-        # keeps it, and user-supplied paths always accumulate (entries
-        # are deduplicated by content address on load).
-        if not args.resume and args.archive == DEFAULT_SEARCH_ARCHIVE:
-            Path(args.archive).unlink(missing_ok=True)
-        archive = ParetoArchive(args.archive)
+        archive = None
+        if args.archive:
+            # A fresh search resets only its own default artifact;
+            # --resume keeps it, and user-supplied paths always
+            # accumulate (entries are deduplicated by content address
+            # on load).
+            if not args.resume and args.archive == DEFAULT_SEARCH_ARCHIVE:
+                Path(args.archive).unlink(missing_ok=True)
+            archive = ParetoArchive(args.archive)
 
-    searcher = Searcher(
-        space,
-        objectives=args.objectives,
-        strategy=args.strategy,
-        budget=args.budget,
-        generation_size=args.generation,
-        seed=args.seed,
-        cache=None if args.no_cache else ResultCache(args.cache_dir),
-        workers=args.workers,
-        store=ResultStore(args.store) if args.store else None,
-        archive=archive,
-        backend=args.backend,
-        on_result=_progress_printer(args.progress),
-    )
+        searcher = Searcher(
+            space,
+            objectives=args.objectives,
+            strategy=args.strategy,
+            budget=args.budget,
+            generation_size=args.generation,
+            seed=args.seed,
+            cache=None if args.no_cache else ResultCache(args.cache_dir),
+            workers=args.workers,
+            store=ResultStore(args.store) if args.store else None,
+            archive=archive,
+            backend=args.backend,
+            on_result=_progress_printer(args.progress),
+        )
+    except ValueError as exc:  # rejected input: one line, no traceback
+        print(f"repro search: {exc}", file=sys.stderr)
+        return 2
     size = space.cardinality
     print(f"searching a {size if size is not None else 'continuous'}-point "
           f"space: strategy={args.strategy} budget={args.budget} "
@@ -446,7 +463,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
         return 0
     ok_count = sum(1 for r in records if r.get("status") == "ok")
     if args.objective is not None:
-        ranked = rank(records, args.objective)
+        try:
+            ranked = rank(records, args.objective)
+        except ValueError as exc:  # rejected input: one line, no traceback
+            print(f"repro report: {exc}", file=sys.stderr)
+            return 2
         print(f"top {args.objective} of {len(ranked)} points:")
         print(format_table(ranked[: args.top]))
     if args.pareto:
@@ -498,13 +519,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
               f"{stats['physical_evals']} evaluations")
         print(f"    cycles:   {stats['cycles_hits']} hits, "
               f"{stats['cycles_evals']} evaluations")
-        occupancy = stats["batch_mean_occupancy"]
-        print(f"  batches:   {stats['batches_formed']} formed, "
-              f"{stats['batch_lanes']} lanes, "
-              f"{stats['batch_fallbacks']} serial fallbacks")
-        print("  occupancy: "
-              + (f"{occupancy:.1f} lanes/batch"
-                 if occupancy is not None else "n/a"))
         print(f"  analytic:  {stats['analytic_predictions']} predictions, "
               f"{stats['analytic_calibrations']} calibrations, "
               f"{stats['analytic_fallbacks']} fallbacks")
@@ -543,25 +557,22 @@ def _cmd_trajectory(args: argparse.Namespace) -> int:
     from .obs import report as obs_report
 
     if args.action == "append":
-        if (not args.sim and not args.service and not args.fleet
-                and not args.analytic):
+        if not args.sim and not args.service and not args.analytic:
             print("repro trajectory append: need --sim, --service, "
-                  "--fleet, and/or --analytic", file=sys.stderr)
+                  "and/or --analytic", file=sys.stderr)
             return 2
         try:
             entry = obs_report.append_trajectory(
                 args.file,
                 sim=args.sim or None,
                 service=args.service or None,
-                fleet=args.fleet or None,
                 analytic=args.analytic or None,
                 label=args.label,
             )
         except (OSError, ValueError) as exc:
             print(f"repro trajectory append: {exc}", file=sys.stderr)
             return 1
-        parts = [k for k in ("sim", "service", "fleet", "analytic")
-                 if entry.get(k)]
+        parts = [k for k in ("sim", "service", "analytic") if entry.get(k)]
         print(f"appended entry {entry.get('label') or '(unlabelled)'} "
               f"({'+'.join(parts)}) to {args.file}")
         return 0
@@ -591,15 +602,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .service import ReproService
 
     _apply_sim_engine(args)
-    service = ReproService(
-        host=args.host,
-        port=args.port,
-        cache_dir=None if args.no_cache else args.cache_dir,
-        backend=args.backend,
-        workers=args.workers,
-        queue_limit=args.queue_limit,
-        max_active=args.max_active,
-    )
+    try:
+        service = ReproService(
+            host=args.host,
+            port=args.port,
+            cache_dir=None if args.no_cache else args.cache_dir,
+            backend=args.backend,
+            workers=args.workers,
+            queue_limit=args.queue_limit,
+            max_active=args.max_active,
+        )
+    except ValueError as exc:  # rejected input: one line, no traceback
+        print(f"repro serve: {exc}", file=sys.stderr)
+        return 2
 
     async def _serve() -> None:
         url = await service.start()
@@ -874,8 +889,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="simulator BENCH artifact")
     p_ta.add_argument("--service", default=None, metavar="BENCH_service.json",
                       help="service BENCH artifact")
-    p_ta.add_argument("--fleet", default=None, metavar="BENCH_fleet.json",
-                      help="fleet (batched backend) BENCH artifact")
     p_ta.add_argument("--analytic", default=None,
                       metavar="BENCH_analytic.json",
                       help="analytic-tier BENCH artifact")

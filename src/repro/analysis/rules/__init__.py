@@ -14,6 +14,5 @@ from . import (  # noqa: F401
     rep005_registry,
     rep006_pickle,
     rep007_obs_names,
-    rep008_batch_keys,
     rep009_predictor_purity,
 )

@@ -17,9 +17,10 @@ contract quietly:
   cycles_dict` (``flow``, ``target_frequency_mhz``, ``objective``) or
   deriving from a wider view (``to_dict``, ``cache_dict``,
   ``cache_key``, ``physical_dict``, ``physical_key``) — the calibration
-  arch-class is keyed on cycles-stage fields only (the REP008
-  contract), so a physical-stage dependency makes two scenarios that
-  share a calibration predict different cycles.
+  arch-class is keyed on cycles-stage fields only
+  (:data:`~repro.analytic.store.ARCH_CLASS_FIELDS`), so a physical-stage
+  dependency makes two scenarios that share a calibration predict
+  different cycles.
 
 The rule checks every function decorated with ``register_predictor``
 (any import spelling), plus module-level simulator imports in modules

@@ -28,9 +28,8 @@ from ..sweep.cache import Journal
 
 #: Scenario fields identifying a calibration arch-class.  A deliberate
 #: subset of ``Scenario.cycles_dict``: the fields that change what the
-#: simulator would measure for a fixed problem size (the same fields the
-#: batched backend groups compatible lanes by).  Bandwidth and tiling
-#: are *excluded* — they enter through each predictor's analytic
+#: simulator would measure for a fixed problem size.  Bandwidth and
+#: tiling are *excluded* — they enter through each predictor's analytic
 #: ``setup`` term, not the fitted factor.
 ARCH_CLASS_FIELDS = ("capacity_mib", "num_cores", "word_bytes", "arch")
 

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 from ..core.config import MemPoolConfig
 from ..core.metrics import GroupResult, KernelMetrics
@@ -24,33 +23,6 @@ from ..obs import profile as _profile
 from ..obs import trace as _trace
 from .registry import FLOWS, OBJECTIVES, WORKLOADS
 from .scenario import Scenario
-
-#: Precomputed workload cycle counts keyed by
-#: :attr:`Scenario.cycles_key`, installed by the batched execution
-#: backend around its per-job record pass.  The pipeline consults the
-#: override only after a stage-cache miss, so a batched evaluation is
-#: indistinguishable from a serial one (including the memo it leaves in
-#: the stage cache); scenarios without an entry fall through to the
-#: workload plugin unchanged.
-_BATCH_CYCLES: ContextVar[Optional[Mapping[str, float]]] = ContextVar(
-    "repro_batch_cycles", default=None
-)
-
-
-@contextmanager
-def batched_cycles(values: Mapping[str, float]):
-    """Install precomputed cycle counts for the dynamic extent of a block.
-
-    Args:
-        values: ``Scenario.cycles_key`` -> cycle count, as produced by a
-            fleet simulation of the same scenarios.
-    """
-    token = _BATCH_CYCLES.set(dict(values))
-    try:
-        yield
-    finally:
-        _BATCH_CYCLES.reset(token)
-
 
 @dataclass(frozen=True)
 class RunResult:
@@ -278,19 +250,12 @@ class Pipeline:
         """
         with self._engine_scope():
             cache = self.stage_cache
-            overrides = _BATCH_CYCLES.get()
-            key = (
-                scenario.cycles_key
-                if cache is not None or overrides is not None
-                else None
-            )
+            key = scenario.cycles_key if cache is not None else None
             if cache is not None:
                 cached = cache.get_cycles(key)
                 if cached is not None:
                     return cached
-            cycles = overrides.get(key) if overrides is not None else None
-            if cycles is None:
-                cycles = self._tier0_cycles(scenario)
+            cycles = self._tier0_cycles(scenario)
             if cycles is None:
                 cycles = float(WORKLOADS.get(scenario.workload)(scenario))
             if cycles <= 0:

@@ -49,7 +49,6 @@ from .backends import (
     resolve_backend,
     run_one,
 )
-from .batch import BatchedBackend, batch_compatibility_key
 from .cache import (
     DEFAULT_LRU_SIZE,
     LRUCache,
@@ -59,14 +58,12 @@ from .cache import (
     cache_gc,
     cache_stats,
     merge_cache_dirs,
-    record_batch_stats,
     stage_cache_for,
 )
 from .core import Engine, EngineOutcome, EngineStats, evaluate_job
 
 __all__ = [
     "BACKENDS",
-    "BatchedBackend",
     "CHUNKS_PER_WORKER",
     "DEFAULT_LRU_SIZE",
     "Engine",
@@ -80,14 +77,12 @@ __all__ = [
     "ThreadBackend",
     "TieredCache",
     "available_backends",
-    "batch_compatibility_key",
     "cache_clear",
     "cache_gc",
     "cache_stats",
     "evaluate_job",
     "get_backend",
     "merge_cache_dirs",
-    "record_batch_stats",
     "register_backend",
     "resolve_backend",
     "run_one",

@@ -13,7 +13,7 @@ objectives, and strategies::
         def __init__(self, workers=0, mp_context=None, chunksize=None): ...
         def run(self, evaluate, jobs): ...
 
-Four backends ship built in:
+Three backends ship built in:
 
 * ``serial`` — in-process loop, deterministic order, zero overhead;
 * ``thread`` — ``ThreadPoolExecutor`` fan-out sharing the process (and
@@ -21,13 +21,9 @@ Four backends ship built in:
 * ``process`` — ``ProcessPoolExecutor`` fan-out in deterministic chunks,
   with the worker initializer mirroring the parent's runtime plugin
   registrations so ``spawn``-started workers see them too (this absorbs
-  the pool wiring that used to live in ``repro.sweep.executor``);
-* ``batched`` — in-process fleet batching: compatible simulator-backed
-  jobs step through one :class:`~repro.simulator.fleet.FleetEngine`
-  (bit-identical per lane), everything else falls back to the serial
-  path (see :mod:`repro.engine.batch`).
+  the pool wiring that used to live in ``repro.sweep.executor``).
 
-A fifth, ``remote``, ships with the serving layer and fans jobs out to
+A fourth, ``remote``, ships with the serving layer and fans jobs out to
 worker processes over the wire protocol.
 """
 
@@ -282,15 +278,12 @@ class ProcessBackend:
                     yield from future.result()
 
 
-# The remaining built-in backends live in their own modules (``batched``
-# needs the fleet simulator, ``remote`` the wire protocol); importing
-# them here registers the names so they resolve everywhere backends do.
-# No cycle: both modules import this one only lazily or for run_one.
+# The ``remote`` backend lives with the wire protocol; importing it here
+# registers the name so it resolves everywhere backends do.  No cycle:
+# that module imports this one only lazily or for run_one.
 from ..service.pool import RemoteBackend  # noqa: E402
-from .batch import BatchedBackend  # noqa: E402
 
 BACKENDS.register("remote", RemoteBackend)
-BACKENDS.register("batched", BatchedBackend)
 
 
 def resolve_backend(

@@ -55,11 +55,6 @@ STAGE_COUNTER_KEYS = (
     "physical_hits", "physical_evals", "cycles_hits", "cycles_evals",
 )
 
-#: Batch-level counters (the ``batched`` backend's fleet phase), merged
-#: into the same sidecar so ``repro cache stats`` exposes warm-vs-cold
-#: batching behaviour next to the per-job stage counters.
-BATCH_COUNTER_KEYS = ("batches_formed", "batch_lanes", "batch_fallbacks")
-
 #: Analytic-tier counters (the ``analytic`` engine's tier-0 path),
 #: merged into the same sidecar: predictions served from calibrated
 #: closed forms, calibrations fitted, and fallbacks to the fast engine
@@ -407,24 +402,6 @@ def stage_cache_for(root: str | Path) -> StageCache:
     return cache
 
 
-def record_batch_stats(
-    root: str | Path, batches: int = 0, lanes: int = 0, fallbacks: int = 0
-) -> None:
-    """Fold one batched-backend run's fleet counters into the sidecar.
-
-    Called by :class:`~repro.engine.batch.BatchedBackend` after its
-    fleet phase (once per engine batch, never per lane), under the same
-    locked merge the hit counters use; ``repro cache stats`` and the
-    service's ``GET /v1/cache`` surface the totals.  All-zero deltas are
-    dropped without touching the filesystem.
-    """
-    record_stats(root, {
-        "batches_formed": int(batches),
-        "batch_lanes": int(lanes),
-        "batch_fallbacks": int(fallbacks),
-    })
-
-
 def record_stats(root: str | Path, delta: dict[str, int]) -> None:
     """Fold counter deltas into ``root``'s sidecar (the locked merge).
 
@@ -541,7 +518,6 @@ def cache_stats(root: str | Path) -> dict:
     calibration_entries = (
         len(CalibrationStore(root)) if cache is not None else 0
     )
-    batches = counters.get("batches_formed", 0)
     return {
         "path": str(Path(root) / ResultCache.FILENAME),
         "entries": len(cache) if cache is not None else 0,
@@ -555,10 +531,6 @@ def cache_stats(root: str | Path) -> dict:
         "hit_rate": (hits / lookups) if lookups else None,
         "stage_entries": stage_entries,
         **{name: counters.get(name, 0) for name in STAGE_COUNTER_KEYS},
-        **{name: counters.get(name, 0) for name in BATCH_COUNTER_KEYS},
-        "batch_mean_occupancy": (
-            counters.get("batch_lanes", 0) / batches if batches else None
-        ),
         **{name: counters.get(name, 0) for name in ANALYTIC_COUNTER_KEYS},
         "calibration_entries": calibration_entries,
     }

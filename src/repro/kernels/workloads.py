@@ -636,67 +636,3 @@ def stencil5_workload(scenario) -> float:
     run = run_stencil5(scenario.to_config(), n, n, _sim_cores(scenario, n - 2))
     return _verified_cycles(run)
 
-
-# ---------------------------------------------------------------------------
-# Fleet preparers (repro.engine batched backend).
-#
-# A fleet preparer maps a Scenario to ``(loaded cluster, finish)`` using
-# the exact same problem sizing, seeding, and verification as the plugin
-# above it, so a lane simulated by the FleetEngine and finished here
-# yields the same cycles value — and the same verification failures —
-# as the plugin evaluating the scenario directly.  "matmul" is analytic
-# and has nothing to batch, so it has no preparer.
-
-
-def _sim_finish(finish: FinishFn) -> Callable[[object], float]:
-    return lambda result: _verified_cycles(finish(result))
-
-
-def _fleet_dotp(scenario):
-    n = _sim_dim(scenario, SIM_ELEMENT_LIMIT)
-    cluster, finish = prepare_dotp(
-        scenario.to_config(), n, _sim_cores(scenario, n)
-    )
-    return cluster, _sim_finish(finish)
-
-
-def _fleet_axpy(scenario):
-    n = _sim_dim(scenario, SIM_ELEMENT_LIMIT)
-    cluster, finish = prepare_axpy(
-        scenario.to_config(), n, _sim_cores(scenario, n)
-    )
-    return cluster, _sim_finish(finish)
-
-
-def _fleet_conv2d(scenario):
-    n = _sim_dim(scenario, SIM_GRID_LIMIT, minimum=3)
-    cluster, finish = prepare_conv2d(
-        scenario.to_config(), n, n, _sim_cores(scenario, n - 2)
-    )
-    return cluster, _sim_finish(finish)
-
-
-def _fleet_matvec(scenario):
-    n = _sim_dim(scenario, SIM_GRID_LIMIT)
-    cluster, finish = prepare_matvec(
-        scenario.to_config(), n, n, _sim_cores(scenario, n)
-    )
-    return cluster, _sim_finish(finish)
-
-
-def _fleet_stencil5(scenario):
-    n = _sim_dim(scenario, SIM_GRID_LIMIT, minimum=3)
-    cluster, finish = prepare_stencil5(
-        scenario.to_config(), n, n, _sim_cores(scenario, n - 2)
-    )
-    return cluster, _sim_finish(finish)
-
-
-#: Workload name -> scenario-level preparer for cross-scenario batching.
-FLEET_PREPARERS: dict[str, Callable] = {
-    "dotp": _fleet_dotp,
-    "axpy": _fleet_axpy,
-    "conv2d": _fleet_conv2d,
-    "matvec": _fleet_matvec,
-    "stencil5": _fleet_stencil5,
-}

@@ -166,37 +166,17 @@ def _analytic_summary(analytic: dict) -> dict:
     }
 
 
-def _fleet_summary(fleet: dict) -> dict:
-    results = fleet.get("results", {})
-    speedups = {
-        name: float(row["speedup"])
-        for name, row in sorted(results.items())
-        if isinstance(row, dict) and "speedup" in row
-    }
-    identical = all(
-        bool(row.get("identical", True))
-        for row in results.values()
-        if isinstance(row, dict)
-    )
-    return {
-        "speedups": speedups,
-        "geomean_speedup": _geomean(list(speedups.values())),
-        "lanes_identical": identical,
-    }
-
-
 def append_trajectory(
     path: Union[str, Path],
     sim: Union[str, Path, dict, None] = None,
     service: Union[str, Path, dict, None] = None,
-    fleet: Union[str, Path, dict, None] = None,
     analytic: Union[str, Path, dict, None] = None,
     label: Optional[str] = None,
     recorded_unix: Optional[int] = None,
 ) -> dict:
     """Fold one run of the BENCH emitters into the trajectory file.
 
-    ``sim``/``service``/``fleet``/``analytic`` are artifact paths or
+    ``sim``/``service``/``analytic`` are artifact paths or
     already-loaded documents; any may be absent (the entry records what
     ran).  Returns the appended entry.
     """
@@ -204,11 +184,9 @@ def append_trajectory(
         sim = load_bench(sim)
     if service is not None and not isinstance(service, dict):
         service = load_bench(service)
-    if fleet is not None and not isinstance(fleet, dict):
-        fleet = load_bench(fleet)
     if analytic is not None and not isinstance(analytic, dict):
         analytic = load_bench(analytic)
-    if sim is None and service is None and fleet is None and analytic is None:
+    if sim is None and service is None and analytic is None:
         raise ValueError("append_trajectory needs at least one artifact")
     entry: dict = {
         "schema_version": SCHEMA_VERSION,
@@ -221,8 +199,6 @@ def append_trajectory(
         entry["sim"] = _sim_summary(sim)
     if service is not None:
         entry["service"] = _service_summary(service)
-    if fleet is not None:
-        entry["fleet"] = _fleet_summary(fleet)
     if analytic is not None:
         entry["analytic"] = _analytic_summary(analytic)
 
@@ -248,9 +224,6 @@ def check_trajectory(trajectory: Union[str, Path, dict]) -> list:
     * concurrent warm sync runs evaluated duplicates
       (``duplicate_evaluations > 0``),
     * warm cache hit rate dropped against the previous entry,
-    * a fleet benchmark whose batched lanes diverged from the serial
-      fast engine (``lanes_identical`` false — a correctness bug, not a
-      timing one),
     * an analytic benchmark whose calibration error escaped a declared
       bound (``all_within_bound`` false — the tier-0 accuracy contract,
       not a timing figure).
@@ -262,28 +235,19 @@ def check_trajectory(trajectory: Union[str, Path, dict]) -> list:
     if not isinstance(trajectory, dict):
         trajectory = load_trajectory(trajectory)
     all_entries = trajectory.get("entries", [])
-    fleet_entries = [e for e in all_entries if "fleet" in e]
-    fleet_problems = []
-    if fleet_entries and fleet_entries[-1]["fleet"].get(
-        "lanes_identical"
-    ) is False:
-        fleet_problems.append(
-            "fleet benchmark reported non-identical lanes; the batched "
-            "engine must match the fast engine bit-for-bit"
-        )
+    problems = []
     analytic_entries = [e for e in all_entries if "analytic" in e]
     if analytic_entries and analytic_entries[-1]["analytic"].get(
         "all_within_bound"
     ) is False:
-        fleet_problems.append(
+        problems.append(
             "analytic benchmark reported a calibration outside its "
             "declared error bound; tier-0 predictions must honour the "
             "per-predictor accuracy contract"
         )
     entries = [e for e in all_entries if "service" in e]
     if not entries:
-        return fleet_problems
-    problems = fleet_problems
+        return problems
     latest = entries[-1]["service"]
     re_evaluations = latest.get("re_evaluations") or 0
     if re_evaluations > 0:

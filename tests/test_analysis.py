@@ -19,7 +19,7 @@ CORPUS = Path(__file__).parent / "analysis_corpus"
 SRC = Path(__file__).parent.parent / "src"
 
 ALL_RULES = ("REP001", "REP002", "REP003", "REP004", "REP005", "REP006",
-             "REP007", "REP008", "REP009")
+             "REP007", "REP009")
 
 
 class TestCorpus:

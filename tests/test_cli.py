@@ -1,5 +1,6 @@
 """Tests for the top-level CLI (python -m repro)."""
 
+import asyncio
 import json
 from pathlib import Path
 
@@ -125,9 +126,21 @@ class TestCommands:
         assert main(["experiments", "fig6"]) == 0
         assert "Figure 6" in capsys.readouterr().out
 
-    def test_bad_config_name(self):
-        with pytest.raises(ValueError):
-            main(["implement", "NotAConfig"])
+    def test_bad_config_name(self, capsys):
+        assert main(["implement", "NotAConfig"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "repro implement: malformed configuration name: 'NotAConfig'"
+        ]
+
+    def test_bad_simulate_config_name(self, capsys):
+        assert main(["simulate", "--config", "NotAConfig"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "repro simulate: malformed configuration name: 'NotAConfig'"
+        ]
 
 
 class TestRunCommand:
@@ -195,6 +208,35 @@ class TestRunCommand:
                                     "unknown scenario fields: ['flows']")
 
 
+class TestUnknownNames:
+    """A bad name on the command line is one stderr line and exit 2."""
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["sweep", "--backend", "batched"], id="sweep-backend"),
+        pytest.param(["sweep", "--kernels", "fft"], id="sweep-kernels"),
+        pytest.param(["search", "--backend", "batched"], id="search-backend"),
+        pytest.param(["search", "--strategy", "nope"], id="search-strategy"),
+        pytest.param(["search", "--objectives", "beauty"],
+                     id="search-objectives"),
+        pytest.param(["serve", "--backend", "batched"], id="serve-backend"),
+    ])
+    def test_exits_2_with_one_line(self, capsys, monkeypatch, tmp_path, argv):
+        def serve_forever(coro):  # a started service would never return
+            coro.close()
+            raise AssertionError("the bad name was not rejected")
+
+        monkeypatch.setattr(asyncio, "run", serve_forever)
+        paths = ["--cache-dir", str(tmp_path / "cache")]
+        if argv[0] == "search":
+            paths += ["--archive", str(tmp_path / "archive.jsonl")]
+        assert main([*argv, *paths]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"repro {argv[0]}: unknown ")
+
+
 class TestListCommand:
     def test_list_workloads(self, capsys):
         assert main(["list", "workloads"]) == 0
@@ -222,6 +264,7 @@ class TestListCommand:
         out = capsys.readouterr().out
         for name in ("serial", "thread", "process"):
             assert name in out
+        assert "batched" not in out
 
     def test_sweep_kernels_axis_parses(self):
         args = build_parser().parse_args(["sweep", "--kernels", "matmul,dotp"])
@@ -464,9 +507,14 @@ class TestReportCommand:
         assert main(["report", str(store_path), "--pareto"]) == 0
         assert "Pareto front" in capsys.readouterr().out
 
-    def test_unknown_objective_raises(self, store_path):
-        with pytest.raises(ValueError):
-            main(["report", str(store_path), "--objective", "beauty"])
+    def test_unknown_objective_raises(self, capsys, store_path):
+        capsys.readouterr()
+        assert main(["report", str(store_path), "--objective", "beauty"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("repro report: unknown objective 'beauty'")
 
     def test_missing_file(self, capsys, tmp_path):
         assert main(["report", str(tmp_path / "nope.jsonl")]) == 1
