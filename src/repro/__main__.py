@@ -329,7 +329,8 @@ DEFAULT_SEARCH_ARCHIVE = ".search-archive.jsonl"
 def _cmd_search(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from .search import Choice, ParetoArchive, Searcher, SearchSpace
+    from .engine import resolve_backend
+    from .search import STRATEGIES, Choice, ParetoArchive, Searcher, SearchSpace, resolve_objectives
     from .sweep import ResultCache, ResultStore
 
     _apply_sim_engine(args)
@@ -351,7 +352,12 @@ def _cmd_search(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     try:
+        # Every name is resolved before the archive is reset or a cache
+        # directory created: a rejected one leaves the filesystem as it was.
         space = SearchSpace(axes, **base)
+        resolve_objectives(args.objectives)
+        STRATEGIES.get(args.strategy)
+        backend = resolve_backend(args.backend, workers=args.workers)
 
         archive = None
         if args.archive:
@@ -374,7 +380,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
             workers=args.workers,
             store=ResultStore(args.store) if args.store else None,
             archive=archive,
-            backend=args.backend,
+            backend=backend,
             on_result=_progress_printer(args.progress),
         )
     except ValueError as exc:  # rejected input: one line, no traceback

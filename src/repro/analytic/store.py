@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from ..sweep.cache import Journal
+from ..sweep.cache import Journal, encode_line
 
 #: Scenario fields identifying a calibration arch-class.  A deliberate
 #: subset of ``Scenario.cycles_dict``: the fields that change what the
@@ -204,9 +204,7 @@ class CalibrationStore:
         """Persist a freshly-fitted record (locked read-check-append)."""
         try:
             self.journal.append(
-                record.key,
-                record,
-                record.to_json(),
+                [(record.key, record, encode_line(record.to_json()))],
                 present=lambda existing: existing is not None,
             )
         except OSError:

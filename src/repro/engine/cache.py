@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import Optional
 
 from ..analysis import racecheck as _racecheck
-from ..sweep.cache import Journal, ResultCache, _FileLock
+from ..sweep.cache import Journal, ResultCache, _FileLock, encode_line
 from ..sweep.spec import Job
 
 #: Default bound of the in-memory tier.  Records are small dicts (a few
@@ -104,6 +104,59 @@ class LRUCache:
         self._data.clear()
 
 
+class GroupCommit:
+    """Journal lines a store queues while engine batches are open.
+
+    :meth:`Engine.run_many <repro.engine.Engine.run_many>` opens a batch
+    on the record and stage stores it writes to.  While one is open in
+    this process, :meth:`offer` queues a put's line instead of writing
+    it, and :meth:`commit` writes the whole queue as one
+    :meth:`~repro.sweep.cache.Journal.append`: one lock, one tail read,
+    one ``O_APPEND`` write, and no descriptor held between commits.  A
+    pool worker forked mid-batch inherits the open batch but is another
+    process, so it writes its own lines at once.  ``pending`` keeps
+    queued entries visible to lookups until they are on disk; a failed
+    write leaves them queued for the next commit.
+    """
+
+    def __init__(self, journal: Journal) -> None:
+        self.journal = journal
+        self.pending: dict[str, tuple[object, bytes]] = {}
+        self._open = 0
+        self._pid = 0
+        self._lock = threading.Lock()
+
+    def open(self) -> None:
+        """Start queueing (batches nest: each :meth:`open` needs a close)."""
+        with self._lock:
+            if self._pid != os.getpid():  # batches a parent process opened
+                self._open = 0
+            self._open += 1
+            self._pid = os.getpid()
+
+    def offer(self, key: str, entry: object, record: dict) -> bool:
+        """Queue one entry if a batch is open here; ``False``: write it now."""
+        if not self._open or self._pid != os.getpid():
+            return False
+        line = encode_line(record)  # the bytes as of the put
+        with self._lock:
+            if not self._open:
+                return False
+            self.pending[key] = (entry, line)
+        return True
+
+    def commit(self, close: bool = False) -> None:
+        """Write the queue as one append; ``close`` also ends one batch."""
+        with self._lock:
+            self._open -= close
+            if self.pending:
+                self.journal.append([
+                    (key, entry, line)
+                    for key, (entry, line) in self.pending.items()
+                ])
+                self.pending.clear()
+
+
 class TieredCache:
     """Memory-over-disk result cache with batch-flushed hit counters.
 
@@ -136,6 +189,7 @@ class TieredCache:
         self.misses = 0
         self.stores = 0
         self._flushed = dict.fromkeys(_COUNTER_KEYS, 0)
+        self._queue = GroupCommit(disk.journal) if disk is not None else None
         # One engine per thread is the common case, but the service
         # shares a cache across concurrent request handlers; the LRU's
         # OrderedDict is not safe under concurrent mutation, so tier
@@ -159,15 +213,34 @@ class TieredCache:
             return None
 
     def put(self, record: dict) -> None:
-        """Store a record in both tiers (must carry a ``key``)."""
+        """Store a record in both tiers (must carry a ``key``).
+
+        Inside an open batch the disk line is queued for the batch's
+        :meth:`commit`; otherwise it is written at once.
+        """
         key = record.get("key")
         if not key:
             raise ValueError("cache records must carry a 'key'")
         with self._lock:
             self.stores += 1
             self.memory.put(key, record)
-        if self.disk is not None:
+        if self.disk is not None and not self._queue.offer(key, record, record):
             self.disk.put(record)
+
+    def open_batch(self) -> None:
+        """Queue disk writes until :meth:`commit` (see :class:`GroupCommit`)."""
+        if self._queue is not None:
+            self._queue.open()
+
+    def commit(self, close: bool = False) -> None:
+        """Write the queued records; ``close`` also ends one batch.
+
+        Raises:
+            OSError: If the cache file cannot be written (the records
+                stay queued for the next commit).
+        """
+        if self._queue is not None:
+            self._queue.commit(close)
 
     def refresh(self) -> int:
         """Fold other writers' disk appends into the persistent tier."""
@@ -234,7 +307,9 @@ class StageCache:
     Values live in a :class:`~repro.sweep.cache.Journal` index backed by
     an append-only JSONL file (``stages.jsonl``) inside the cache
     directory, shared with the record cache; worker processes each load
-    the file once and append their own computations.
+    the file once and append their own computations.  Inside an engine
+    batch the process-wide memo queues its lines like the record tier
+    (see :class:`GroupCommit`); outside one every put writes at once.
 
     Args:
         root: Cache directory, or ``None`` for a purely in-memory memo.
@@ -257,6 +332,7 @@ class StageCache:
         self.cycles_evals = 0
         self._flushed = dict.fromkeys(STAGE_COUNTER_KEYS, 0)
         self._flush_lock = threading.Lock()
+        self._queue = GroupCommit(self.journal)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -288,10 +364,24 @@ class StageCache:
             "value": value,
             "model_version": CODE_MODEL_VERSION,
         }
+        entry = (stage, value)
+        if self._queue.offer(key, entry, record):
+            return
         try:
-            self.journal.append(key, (stage, value), record)
+            self.journal.append([(key, entry, encode_line(record))])
         except OSError:  # only costs a recomputation later
-            self._entries[key] = (stage, value)
+            self._entries[key] = entry
+
+    def open_batch(self) -> None:
+        """Queue memo writes until :meth:`commit` (see :class:`GroupCommit`)."""
+        self._queue.open()
+
+    def commit(self, close: bool = False) -> None:
+        """Write the queued memos; ``close`` also ends one batch."""
+        try:
+            self._queue.commit(close)
+        except OSError:  # the memos stay queued, and visible, for a retry
+            pass
 
     # -- physical stage -------------------------------------------------
     def get_physical(self, key: str):
@@ -323,7 +413,10 @@ class StageCache:
         """The memoized workload cycle count for ``key``, or ``None``."""
         entry = self._entries.get(key)
         if entry is None:
-            return None
+            queued = self._queue.pending.get(key)
+            if queued is None:
+                return None
+            entry = queued[0]
         self.cycles_hits += 1
         return float(entry[1])
 

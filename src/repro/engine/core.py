@@ -9,7 +9,8 @@ funnel their evaluations through :meth:`Engine.run_many`, which
   content-addressed :class:`~repro.sweep.spec.Job` view, so each point
   is built, validated and keyed once,
 * serves repeats from a two-tier cache (bounded in-memory LRU over the
-  on-disk :class:`~repro.sweep.cache.ResultCache`),
+  on-disk :class:`~repro.sweep.cache.ResultCache`), group-committing
+  new records and stage memos as one locked append per journal,
 * fans the rest out through a pluggable :mod:`execution backend
   <repro.engine.backends>`, and
 * streams ``(job, record)`` pairs back as they complete, each job under
@@ -41,6 +42,10 @@ RunItem = Union[Scenario, Job]
 
 #: Progress callback: ``(done, total, record)`` per completed item.
 ProgressCallback = Callable[[int, int, dict], None]
+
+#: Longest a batch keeps completed records and stage memos queued before
+#: writing them: a killed process loses at most about this much work.
+COMMIT_INTERVAL_S = 1.0
 
 
 def evaluate_job(job: Job, stage_root: Optional[str] = None):
@@ -226,6 +231,15 @@ class Engine:
         stream back in completion order (``source == "evaluated"``).
         Failures surface as failure records — never exceptions — and
         stay out of the cache, so a re-run retries exactly them.
+
+        New records and this process's stage memos are group-committed:
+        they are queued while the batch runs and each queue reaches disk
+        as one locked append when the batch ends, when the generator is
+        closed (Ctrl-C, or an exception in the consumer or callback),
+        and before a record is yielded once :data:`COMMIT_INTERVAL_S`
+        has passed since the last commit.  So everything yielded is on
+        disk once the batch is over, and a killed process loses at most
+        about a second of evaluations.
         """
         jobs: dict[str, Job] = {}
         for item in items:
@@ -241,6 +255,12 @@ class Engine:
         done = 0
         pending: list[Job] = []
         batch_span = _trace.span("engine.run_many", total=total)
+        stores = [self.cache]
+        if self.stage_root is not None:  # memos reach disk before records
+            stores.insert(0, stage_cache_for(self.stage_root))
+        for store in stores:
+            store.open_batch()
+        committed = time.monotonic()
         try:
             with batch_span:
                 for key, job in jobs.items():
@@ -265,11 +285,18 @@ class Engine:
                     for raw in self.backend.run(self.evaluate, pending):
                         if raw["status"] == "ok":
                             self.cache.put(raw)
+                        now = time.monotonic()
+                        if now - committed >= COMMIT_INTERVAL_S:
+                            for store in stores:
+                                store.commit()
+                            committed = now
                         record = {**raw, "source": "evaluated"}
                         done += 1
                         self._emit(record, done, total, callback)
                         yield jobs[record["key"]], record
         finally:
+            for store in stores:
+                store.commit(close=True)
             self.cache.flush_stats()  # one sidecar merge for every tier
 
     def _emit(

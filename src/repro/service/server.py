@@ -49,6 +49,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 from urllib.parse import parse_qs, urlsplit
 
+from ..engine.backends import resolve_backend
 from ..engine.cache import TieredCache, cache_stats
 from ..engine.core import Engine
 from ..obs import metrics, trace
@@ -164,6 +165,9 @@ class ReproService:
         self.port = port
         self.cache_dir = cache_dir
         self.queue_limit = queue_limit
+        # Resolved before the cache directory is created: a rejected
+        # backend name leaves the filesystem untouched.
+        backend = resolve_backend(backend, workers=workers)
         disk = ResultCache(cache_dir) if cache_dir else None
         # Coalesce stats-sidecar merges: thousands of warm sync requests
         # per second must not serialise on a per-request disk rename.

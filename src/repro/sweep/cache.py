@@ -10,11 +10,14 @@ a later run retries them.
 The file is a :class:`Journal`, the one multi-writer primitive the
 engine's stage memo and the analytic calibration store share: several
 engines, worker processes, or service instances may append to one cache
-directory at once.  Every record reaches the file as a single
-``O_APPEND`` write under an advisory ``flock`` on a ``.lock`` sidecar,
-after the tail other writers appended has been folded in — no torn
-lines, no duplicates — and a torn final line (a crash) is skipped on
-load while everything before it survives.
+directory at once.  Records reach the file in single ``O_APPEND`` writes
+under an advisory ``flock`` on a ``.lock`` sidecar, after the tail other
+writers appended has been folded in — no torn lines, no duplicates — and
+a torn final line (a crash) is skipped on load while everything before
+it survives.  A :meth:`ResultCache.put` writes at once; inside an
+:meth:`~repro.engine.Engine.run_many` batch the engine queues its
+records and memos and writes each queue as one append when the batch
+ends or is closed, and at least once a second while it streams.
 """
 
 from __future__ import annotations
@@ -74,12 +77,12 @@ class _FileLock:
 
 
 def atomic_append(path: str | Path, line: str | bytes) -> int:
-    """Append one text line to ``path`` as a single ``O_APPEND`` write.
+    """Append text lines to ``path`` as a single ``O_APPEND`` write.
 
     POSIX guarantees the kernel serializes ``O_APPEND`` writes, so two
-    processes appending concurrently can interleave *lines* but never
-    bytes within a line — a reader sees every record whole or not at
-    all.  Returns the file offset just past the appended line.
+    processes appending concurrently can interleave *writes* but never
+    bytes within one — a reader sees every record whole or not at all.
+    Returns the file offset just past the appended bytes.
     """
     _racecheck.note_append(path)
     data = line.encode("utf-8") if isinstance(line, str) else line
@@ -89,6 +92,11 @@ def atomic_append(path: str | Path, line: str | bytes) -> int:
         return os.lseek(fd, 0, os.SEEK_CUR)
     finally:
         os.close(fd)
+
+
+def encode_line(record: dict) -> bytes:
+    """The journal line of ``record``: sorted-key JSON and a newline."""
+    return (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
 
 
 class Journal:
@@ -103,10 +111,14 @@ class Journal:
       complete (newline-terminated) lines advance it: a trailing
       fragment may be an append in flight, or a torn write from a crash,
       and is re-examined next time; lines that do not decode are skipped.
-    * :meth:`append` is the locked read-check-append.  When its one
-      :func:`atomic_append` began exactly at the offset, nothing came in
-      between, so the offset moves past the line without decoding it;
-      otherwise (a racer's line, a torn fragment) the tail is parsed.
+    * :meth:`append` is the locked read-check-append of a list of
+      entries: one lock, one tail read, one :func:`atomic_append` for
+      the whole list.  When that write began exactly at the offset,
+      nothing came in between, so the offset moves past the lines
+      without decoding them; otherwise (a racer's line, a torn
+      fragment) the tail is parsed.  The stores' puts append one entry;
+      the engine's batches append everything they queued (see
+      :meth:`~repro.engine.Engine.run_many`).
 
     Args:
         path: The ``<name>.jsonl`` data file, guarded by the
@@ -176,37 +188,45 @@ class Journal:
 
     def append(
         self,
-        key: str,
-        entry: object,
-        record: dict,
+        entries: list[tuple[str, object, bytes]],
         present: Optional[Callable[[object], bool]] = None,
-    ) -> bool:
-        """Persist ``record`` and index it as ``entry`` under ``key``.
+    ) -> int:
+        """Persist ``(key, entry, line)`` triples and index each entry.
 
-        The write is skipped when the freshly refreshed index already
-        holds ``key`` — equal to ``entry``, or as ``present(existing)``
-        decides.  Returns whether a line was appended.
+        ``line`` is the entry's :func:`encode_line`.  An entry is skipped
+        when the freshly refreshed index, or an earlier entry of the
+        list, already holds its key — equal to ``entry``, or as
+        ``present(existing)`` decides.  The rest go out as one write, in
+        list order.  Returns the number of lines appended.
 
         Raises:
             OSError: If the file cannot be locked or written; the index
                 is then left as the tail read found it.
         """
         if self.path is None:
-            self.index[key] = entry
-            return True
-        line = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
+            self.index.update((key, entry) for key, entry, _ in entries)
+            return len(entries)
         with self._mutex, _FileLock(self.lockpath):
             self._read_tail()
-            existing = self.index.get(key)
-            if present(existing) if present is not None else existing == entry:
-                return False
-            end = atomic_append(self.path, line)
-            if end - len(line) == self.offset:
+            index = self.index
+            staged: dict[str, object] = {}
+            lines = []
+            for key, entry, line in entries:
+                existing = staged[key] if key in staged else index.get(key)
+                if present(existing) if present is not None else existing == entry:
+                    continue
+                staged[key] = entry
+                lines.append(line)
+            if not lines:
+                return 0
+            data = b"".join(lines)
+            end = atomic_append(self.path, data)
+            if end - len(data) == self.offset:
                 self.offset = end
             else:
                 self._read_tail()
-            self.index[key] = entry
-        return True
+            index.update(staged)
+        return len(lines)
 
     def rewrite(self, keep: Callable[[dict], bool]) -> tuple[int, int]:
         """Rewrite the file with the last record per key ``keep`` accepts.
@@ -227,10 +247,7 @@ class Journal:
                 for record, key, entry in self._decoded(data)
             }
             kept = {k: v for k, v in latest.items() if keep(v[0])}
-            out = "".join(
-                json.dumps(record, sort_keys=True) + "\n"
-                for record, _ in kept.values()
-            ).encode("utf-8")
+            out = b"".join(encode_line(record) for record, _ in kept.values())
             tmp = self.path + ".tmp"
             with open(tmp, "wb") as fh:
                 fh.write(out)
@@ -291,7 +308,7 @@ class ResultCache:
         key = record.get("key")
         if not key:
             raise ValueError("cache records must carry a 'key'")
-        self.journal.append(key, record, record)
+        self.journal.append([(key, record, encode_line(record))])
 
     def __contains__(self, key: str) -> bool:
         return key in self._records

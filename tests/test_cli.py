@@ -208,24 +208,28 @@ class TestRunCommand:
                                     "unknown scenario fields: ['flows']")
 
 
+BAD_NAMES = [
+    pytest.param(["sweep", "--backend", "batched"], id="sweep-backend"),
+    pytest.param(["sweep", "--kernels", "fft"], id="sweep-kernels"),
+    pytest.param(["search", "--backend", "batched"], id="search-backend"),
+    pytest.param(["search", "--strategy", "nope"], id="search-strategy"),
+    pytest.param(["search", "--objectives", "beauty"],
+                 id="search-objectives"),
+    pytest.param(["serve", "--backend", "batched"], id="serve-backend"),
+]
+
+
+def _serve_forever(coro):  # a started service would never return
+    coro.close()
+    raise AssertionError("the bad name was not rejected")
+
+
 class TestUnknownNames:
     """A bad name on the command line is one stderr line and exit 2."""
 
-    @pytest.mark.parametrize("argv", [
-        pytest.param(["sweep", "--backend", "batched"], id="sweep-backend"),
-        pytest.param(["sweep", "--kernels", "fft"], id="sweep-kernels"),
-        pytest.param(["search", "--backend", "batched"], id="search-backend"),
-        pytest.param(["search", "--strategy", "nope"], id="search-strategy"),
-        pytest.param(["search", "--objectives", "beauty"],
-                     id="search-objectives"),
-        pytest.param(["serve", "--backend", "batched"], id="serve-backend"),
-    ])
+    @pytest.mark.parametrize("argv", BAD_NAMES)
     def test_exits_2_with_one_line(self, capsys, monkeypatch, tmp_path, argv):
-        def serve_forever(coro):  # a started service would never return
-            coro.close()
-            raise AssertionError("the bad name was not rejected")
-
-        monkeypatch.setattr(asyncio, "run", serve_forever)
+        monkeypatch.setattr(asyncio, "run", _serve_forever)
         paths = ["--cache-dir", str(tmp_path / "cache")]
         if argv[0] == "search":
             paths += ["--archive", str(tmp_path / "archive.jsonl")]
@@ -235,6 +239,25 @@ class TestUnknownNames:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"repro {argv[0]}: unknown ")
+
+    @pytest.mark.parametrize("argv", BAD_NAMES)
+    def test_leaves_the_filesystem_untouched(
+        self, capsys, monkeypatch, tmp_path, argv
+    ):
+        """With the default paths, a rejected name neither resets the
+        last search's archive (``--resume`` continues it) nor creates a
+        cache directory."""
+        from repro.__main__ import DEFAULT_SEARCH_ARCHIVE
+
+        monkeypatch.setattr(asyncio, "run", _serve_forever)
+        monkeypatch.chdir(tmp_path)
+        archive = tmp_path / DEFAULT_SEARCH_ARCHIVE
+        archive.write_bytes(b'{"key": "last-search"}\n')
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert main(argv) == 2
+        capsys.readouterr()
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert archive.read_bytes() == b'{"key": "last-search"}\n'
 
 
 class TestListCommand:
