@@ -23,7 +23,6 @@ import pytest
 
 from repro.analytic import calibrate, predict_cycles
 from repro.analytic.store import _reset_stores
-from repro.analytic.tier import analytic_engine
 from repro.api import Scenario
 from repro.api.registry import WORKLOADS, available_predictors
 from repro.obs.report import stamp_bench
@@ -115,18 +114,14 @@ def test_throughput_56_point_grid_vs_fast_vs_batched():
 
     # Warm every (workload, arch-class) calibration the grid needs so
     # the timed loop measures prediction serving, not one-time fits.
-    with analytic_engine():
-        for cap in GRID_CAPACITIES:
-            assert predict_cycles(
-                grid[0].replace(capacity_mib=cap)
-            ) is not None
+    for cap in GRID_CAPACITIES:
+        assert predict_cycles(grid[0].replace(capacity_mib=cap)) is not None
 
     gc.collect()
     gc.disable()
     try:
         t0 = time.perf_counter()
-        with analytic_engine():
-            predictions = [predict_cycles(s) for s in grid]
+        predictions = [predict_cycles(s) for s in grid]
         analytic_s = time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -140,8 +135,7 @@ def test_throughput_56_point_grid_vs_fast_vs_batched():
     # within the declared dotp bound of its simulated twin.
     bound = 0.05
     for scenario, measured in zip(subset, simulated):
-        with analytic_engine():
-            predicted = predict_cycles(scenario)
+        predicted = predict_cycles(scenario)
         assert abs(predicted - measured) / measured <= bound
 
     analytic_pps = len(grid) / max(analytic_s, 1e-9)

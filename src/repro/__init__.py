@@ -80,7 +80,6 @@ _CLIENT_EXPORTS = (
 #: Names re-exported lazily from the ``repro.analytic`` tier-0 layer.
 _ANALYTIC_EXPORTS = (
     "CalibrationRecord",
-    "analytic_engine",
     "calibrate",
     "ensure_calibrated",
     "predict_cycles",

@@ -65,20 +65,11 @@ def _cmd_implement(args: argparse.Namespace) -> int:
     return 0
 
 
-def _apply_sim_engine(args: argparse.Namespace) -> None:
-    """Honour a ``--sim-engine`` choice (also exported to workers)."""
-    if getattr(args, "sim_engine", None):
-        from .simulator.engine import set_default_sim_engine
-
-        set_default_sim_engine(args.sim_engine)
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from .core.config import config_by_name
     from .kernels.matmul import run_matmul
     from .kernels.workloads import run_axpy, run_conv2d, run_dotp
 
-    _apply_sim_engine(args)
     try:
         config = config_by_name(args.config)
     except ValueError as exc:  # rejected input: one line, no traceback
@@ -86,17 +77,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         return 2
     if args.kernel == "matmul":
         run = run_matmul(config, n=args.n, num_cores=args.cores,
-                         scoreboard=args.scoreboard)
+                         scoreboard=args.scoreboard,
+                         sim_engine=args.sim_engine)
         print(f"matmul {args.n}x{args.n} on {args.cores} cores: "
               f"{run.cycles} cycles, CPI/MAC {run.cpi_mac:.2f}, "
               f"verified: {run.correct}")
         return 0 if run.correct else 1
-    runners = {
-        "dotp": lambda: run_dotp(config, args.n, args.cores),
-        "axpy": lambda: run_axpy(config, args.n, args.cores),
-        "conv2d": lambda: run_conv2d(config, args.n, args.n, args.cores),
-    }
-    run = runners[args.kernel]()
+    runner, dims = {
+        "dotp": (run_dotp, (args.n,)),
+        "axpy": (run_axpy, (args.n,)),
+        "conv2d": (run_conv2d, (args.n, args.n)),
+    }[args.kernel]
+    run = runner(config, *dims, args.cores, sim_engine=args.sim_engine)
     print(f"{run.name}: {run.cycles} cycles, {run.instructions} instructions, "
           f"verified: {run.correct}")
     return 0 if run.correct else 1
@@ -148,8 +140,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ValueError as exc:  # rejected input: one line, no traceback
         print(f"repro run: {exc}", file=sys.stderr)
         return 2
-    _apply_sim_engine(args)
-    pipeline = Pipeline()
+    pipeline = Pipeline(engine=args.sim_engine)
     results = []
     for scenario in scenarios:
         result, profile = pipeline.run_profiled(scenario)
@@ -269,19 +260,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from .engine import resolve_backend
     from .sweep import ResultCache, ResultStore, SweepExecutor, SweepSpec, summarize
 
-    _apply_sim_engine(args)
-    spec = SweepSpec(
-        capacities_mib=args.capacities,
-        flows=args.flows,
-        bandwidths=args.bandwidths,
-        matrix_dims=args.matrix_dims,
-        core_counts=args.core_counts,
-        kernels=args.kernels,
-    )
     # Resolve once so the status line reports what will actually run
     # (backend default policy and auto-sized worker pools live in
     # resolve_backend, not here); the instance is handed to the shim.
+    # Everything is checked before the cache directory is created.
     try:
+        spec = SweepSpec(
+            capacities_mib=args.capacities,
+            flows=args.flows,
+            bandwidths=args.bandwidths,
+            matrix_dims=args.matrix_dims,
+            core_counts=args.core_counts,
+            kernels=args.kernels,
+        )
         backend = resolve_backend(args.backend, workers=args.workers)
         jobs = list(spec.jobs())
     except ValueError as exc:  # rejected input: one line, no traceback
@@ -295,6 +286,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         store=store,
         backend=backend,
         on_result=_progress_printer(args.progress),
+        sim_engine=args.sim_engine,
     )
     name = getattr(backend, "name", type(backend).__name__)
     workers = getattr(backend, "workers", 1)
@@ -333,7 +325,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
     from .search import STRATEGIES, Choice, ParetoArchive, Searcher, SearchSpace, resolve_objectives
     from .sweep import ResultCache, ResultStore
 
-    _apply_sim_engine(args)
     axes, base = [], {}
     for name, values in (
         ("capacity_mib", args.capacities),
@@ -352,12 +343,17 @@ def _cmd_search(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     try:
-        # Every name is resolved before the archive is reset or a cache
-        # directory created: a rejected one leaves the filesystem as it was.
+        # Every name and count is checked before the archive is reset or
+        # a cache directory created: a rejected one leaves the
+        # filesystem as it was.
         space = SearchSpace(axes, **base)
         resolve_objectives(args.objectives)
         STRATEGIES.get(args.strategy)
         backend = resolve_backend(args.backend, workers=args.workers)
+        for flag, count in (("--budget", args.budget),
+                            ("--generation", args.generation)):
+            if count is not None and count <= 0:
+                raise ValueError(f"{flag} must be positive, got {count}")
 
         archive = None
         if args.archive:
@@ -382,6 +378,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
             archive=archive,
             backend=backend,
             on_result=_progress_printer(args.progress),
+            sim_engine=args.sim_engine,
         )
     except ValueError as exc:  # rejected input: one line, no traceback
         print(f"repro search: {exc}", file=sys.stderr)
@@ -607,7 +604,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from .service import ReproService
 
-    _apply_sim_engine(args)
     try:
         service = ReproService(
             host=args.host,
@@ -617,6 +613,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             workers=args.workers,
             queue_limit=args.queue_limit,
             max_active=args.max_active,
+            sim_engine=args.sim_engine,
         )
     except ValueError as exc:  # rejected input: one line, no traceback
         print(f"repro serve: {exc}", file=sys.stderr)
@@ -636,6 +633,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               "completed evaluation is in the cache.", file=sys.stderr)
         return 130
     return 0
+
+
+#: Help of the evaluation-level ``--sim-engine`` (run/sweep/search/serve).
+_SIM_ENGINE_HELP = (
+    "evaluation engine: fast simulates; analytic serves calibrated tier-0 "
+    "predictions, under their own cache keys, where a predictor covers the "
+    "workload (default: fast)"
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -658,13 +663,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--cores", type=int, default=16)
     p_sim.add_argument("--scoreboard", action="store_true",
                        help="non-blocking-load core model")
-    p_sim.add_argument("--sim-engine",
-                       choices=("fast", "reference", "analytic"),
-                       default=None, dest="sim_engine",
-                       help="cycle-simulator implementation (fast and "
-                            "reference are bit-identical; analytic falls "
-                            "back to fast for raw kernel runs; default: "
-                            "fast, or $REPRO_SIM_ENGINE)")
+    p_sim.add_argument("--sim-engine", choices=("fast", "reference"),
+                       default="fast", dest="sim_engine",
+                       help="cycle-simulator implementation (bit-identical; "
+                            "default: fast)")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_run = sub.add_parser(
@@ -686,13 +688,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="registered objective name")
     p_run.add_argument("--profile", action="store_true",
                        help="print per-stage (implement/cycles) wall times")
-    p_run.add_argument("--sim-engine",
-                       choices=("fast", "reference", "analytic"),
-                       default=None, dest="sim_engine",
-                       help="evaluation engine: fast/reference simulate "
-                            "(bit-identical); analytic serves calibrated "
-                            "tier-0 predictions (default: fast, or "
-                            "$REPRO_SIM_ENGINE)")
+    p_run.add_argument("--sim-engine", choices=("fast", "analytic"),
+                       default="fast", dest="sim_engine",
+                       help=_SIM_ENGINE_HELP)
     p_run.set_defaults(func=_cmd_run)
 
     p_list = sub.add_parser("list", help="list registered plugins")
@@ -754,12 +752,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="append-only JSONL log of every result")
     p_sw.add_argument("--top", type=int, default=3,
                       help="winners listed per objective")
-    p_sw.add_argument("--sim-engine",
-                      choices=("fast", "reference", "analytic"),
-                      default=None, dest="sim_engine",
-                      help="evaluation engine for simulator-backed "
-                           "workloads (fast/reference bit-identical; "
-                           "analytic = calibrated tier-0 predictions)")
+    p_sw.add_argument("--sim-engine", choices=("fast", "analytic"),
+                      default="fast", dest="sim_engine",
+                      help=_SIM_ENGINE_HELP)
     p_sw.set_defaults(func=_cmd_sweep)
 
     p_se = sub.add_parser(
@@ -812,12 +807,9 @@ def build_parser() -> argparse.ArgumentParser:
                            "trajectory (cached candidates are free)")
     p_se.add_argument("--top", type=int, default=3,
                       help="winners listed per objective")
-    p_se.add_argument("--sim-engine",
-                      choices=("fast", "reference", "analytic"),
-                      default=None, dest="sim_engine",
-                      help="evaluation engine for simulator-backed "
-                           "workloads (fast/reference bit-identical; "
-                           "analytic = calibrated tier-0 predictions)")
+    p_se.add_argument("--sim-engine", choices=("fast", "analytic"),
+                      default="fast", dest="sim_engine",
+                      help=_SIM_ENGINE_HELP)
     p_se.set_defaults(func=_cmd_search)
 
     p_cache = sub.add_parser(
@@ -935,12 +927,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--max-active", type=int, default=2,
                        dest="max_active",
                        help="jobs executing concurrently")
-    p_srv.add_argument("--sim-engine",
-                       choices=("fast", "reference", "analytic"),
-                       default=None, dest="sim_engine",
-                       help="evaluation engine (fast/reference "
-                            "bit-identical; analytic = calibrated tier-0 "
-                            "predictions)")
+    p_srv.add_argument("--sim-engine", choices=("fast", "analytic"),
+                       default="fast", dest="sim_engine",
+                       help=_SIM_ENGINE_HELP)
     p_srv.set_defaults(func=_cmd_serve)
     return parser
 

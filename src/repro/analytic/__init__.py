@@ -1,9 +1,10 @@
 """Tier-0: calibrated closed-form performance models.
 
-The fourth evaluation tier.  Every registered workload gets a pure
-closed-form predictor ``T = setup + inner_iters x cycles_per_iter x
-overhead_factor`` (:mod:`repro.analytic.models`) whose overhead factors
-are auto-calibrated against FastEngine runs
+The third evaluation tier, beside the reference and fast simulators.
+Every registered workload gets a pure closed-form predictor ``T = setup
++ inner_iters x cycles_per_iter x overhead_factor``
+(:mod:`repro.analytic.models`) whose overhead factors are
+auto-calibrated against FastEngine runs
 (:mod:`repro.analytic.calibrate`), persisted race-safely alongside the
 stage cache (:mod:`repro.analytic.store`), and served through
 ``engine="analytic"`` (:mod:`repro.analytic.tier`).  Predictions carry a
@@ -19,19 +20,12 @@ from .store import (
     calibration_store_for,
 )
 from .calibrate import calibrate, ensure_calibrated
-from .tier import (
-    analytic_engine,
-    analytic_mode_active,
-    flush_analytic_stats,
-    predict_cycles,
-)
+from .tier import flush_analytic_stats, predict_cycles
 
 __all__ = [
     "AnalyticTerms",
     "CalibrationRecord",
     "CalibrationStore",
-    "analytic_engine",
-    "analytic_mode_active",
     "calibrate",
     "calibration_store_for",
     "ensure_calibrated",

@@ -1,14 +1,12 @@
-"""Serving tier-0 predictions: mode plumbing, counters, fallback.
+"""Serving tier-0 predictions: counters and fallback.
 
-``Pipeline(engine="analytic")`` arms :func:`analytic_engine` for the
-dynamic extent of a run; ``set_default_sim_engine("analytic")`` (or
-``REPRO_SIM_ENGINE=analytic``) arms the whole process, workers
-included.  Either way the pipeline's cycles stage consults
-:func:`analytic_mode_active` and, when a calibrated predictor covers
-the scenario's workload, serves :func:`predict_cycles` instead of
+The tier is one explicit argument: ``Pipeline(engine="analytic")``, or
+``Engine(sim_engine="analytic")``, which hands it to every evaluation
+and keys every record by it.  When a predictor covers the scenario's
+workload (:meth:`~repro.api.scenario.Scenario.predicted_by`), the
+pipeline's cycles stage serves :func:`predict_cycles` instead of
 simulating — falling back to the workload plugin (the fast engine) when
-no predictor exists, the calibration cannot be fitted, or the fitted
-error bound is violated.
+the calibration cannot be fitted or the fitted error bound is violated.
 
 Every outcome is counted twice: process-wide observability counters
 (``repro_analytic_*`` in ``/v1/metrics``) and per-cache-root deltas
@@ -20,21 +18,12 @@ exit), never on the per-prediction hot path.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
-from contextvars import ContextVar
 from typing import Optional
 
 from ..api.registry import PREDICTORS
 from ..obs.metrics import counter
-from ..simulator.engine import default_sim_engine
 from .calibrate import ensure_calibrated
 from .store import calibration_store_for
-
-#: True/False inside an :func:`analytic_engine` block (a pipeline's
-#: explicit engine opens one); None defers to the process default.
-_FORCE_TIER: ContextVar[Optional[bool]] = ContextVar(
-    "repro_analytic_tier", default=None
-)
 
 _PREDICTIONS = counter(
     "repro_analytic_predictions_total",
@@ -53,32 +42,6 @@ _FALLBACKS = counter(
 _PENDING: dict[str, dict[str, int]] = {}
 _PENDING_LOCK = threading.Lock()
 _FLUSH_REGISTERED: set[str] = set()
-
-
-@contextmanager
-def analytic_engine(active: bool = True):
-    """Force the analytic tier on (or, with ``active=False``, off) for
-    the dynamic extent of a block."""
-    token = _FORCE_TIER.set(active)
-    try:
-        yield
-    finally:
-        _FORCE_TIER.reset(token)
-
-
-def analytic_mode_active(workload: str) -> bool:
-    """Whether tier-0 should serve ``workload`` right now.
-
-    The one check behind both the cycles the pipeline serves and the
-    ``evaluation_tier`` key marker.  The mode check runs first so the
-    default path never touches (and never seeds) the predictor registry.
-    """
-    forced = _FORCE_TIER.get()
-    if forced is False:
-        return False
-    if forced is None and default_sim_engine() != "analytic":
-        return False
-    return workload in PREDICTORS
 
 
 def _count(root: Optional[str], field: str, obs_counter) -> None:

@@ -13,7 +13,6 @@ CLI, so every consumer produces bit-identical metrics.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -22,7 +21,7 @@ from ..core.metrics import GroupResult, KernelMetrics
 from ..obs import profile as _profile
 from ..obs import trace as _trace
 from .registry import FLOWS, OBJECTIVES, WORKLOADS
-from .scenario import Scenario
+from .scenario import Scenario, check_engine
 
 @dataclass(frozen=True)
 class RunResult:
@@ -159,65 +158,17 @@ class Pipeline:
             (e.g. a :class:`repro.obs.StageProfiler`).  Independent of
             the process-wide hooks in :mod:`repro.obs.profile`, which
             every pipeline always notifies.
-        engine: Optional evaluation-engine override for the cycles
-            stage: ``"fast"``/``"reference"`` select the simulation
-            engine for the dynamic extent of each run, ``"analytic"``
-            serves calibrated tier-0 predictions (falling back to the
-            fast engine per scenario when no predictor covers the
-            workload or its calibration misses the declared error
-            bound).  ``None`` defers to the process default
-            (:func:`repro.simulator.engine.default_sim_engine`).
+        engine: Evaluation engine of the cycles stage: ``"fast"``
+            simulates, ``"analytic"`` serves calibrated tier-0
+            predictions (falling back to the fast engine per scenario
+            when no predictor covers the workload or its calibration
+            misses the declared error bound).
     """
 
-    def __init__(self, stage_cache=None, profiler=None, engine=None) -> None:
-        if engine is not None:
-            from ..simulator.engine import SIM_ENGINES
-
-            if engine not in SIM_ENGINES:
-                raise ValueError(
-                    f"unknown evaluation engine {engine!r}; "
-                    f"pick from {SIM_ENGINES}"
-                )
+    def __init__(self, stage_cache=None, profiler=None, engine="fast") -> None:
         self.stage_cache = stage_cache
         self.profiler = profiler
-        self.engine = engine
-
-    @contextmanager
-    def _engine_scope(self):
-        """Apply this pipeline's engine override for one stage's extent
-        (a simulation engine also disarms an enclosing analytic scope)."""
-        if self.engine is None:
-            yield
-            return
-        from ..analytic.tier import analytic_engine
-        from ..simulator.engine import set_default_sim_engine
-
-        analytic = self.engine == "analytic"
-        previous = None if analytic else set_default_sim_engine(self.engine)
-        try:
-            with analytic_engine(analytic):
-                yield
-        finally:
-            if previous is not None:
-                set_default_sim_engine(previous)
-
-    def _tier0_cycles(self, scenario: Scenario) -> Optional[float]:
-        """A tier-0 prediction, or ``None`` when this run must simulate.
-
-        Decided by the check that puts the ``evaluation_tier`` marker
-        into the scenario's keys, so the cycles always match the key.
-        """
-        from ..analytic.tier import analytic_mode_active, predict_cycles
-
-        if not analytic_mode_active(scenario.workload):
-            return None
-        cache = self.stage_cache
-        root = (
-            str(cache.root)
-            if cache is not None and getattr(cache, "root", None) is not None
-            else None
-        )
-        return predict_cycles(scenario, root=root)
+        self.engine = check_engine(engine)
 
     def implement(self, scenario: Scenario) -> GroupResult:
         """Physical stage only: implement the group with the scenario's flow."""
@@ -242,30 +193,35 @@ class Pipeline:
     def cycles(self, scenario: Scenario) -> float:
         """Kernel stage only: the scenario's workload cycle count.
 
-        With ``engine="analytic"`` (or the process default set to
-        ``analytic``) the stage serves calibrated tier-0 predictions.
-        The scope wraps key computation too: analytic results carry an
-        ``evaluation_tier`` marker in their content addresses, so memos
-        never cross between predicted and simulated evaluations.
+        With ``engine="analytic"`` the stage serves calibrated tier-0
+        predictions, memoized under the ``evaluation_tier``-marked key
+        (:meth:`Scenario.cycles_key_for`), so memos never cross between
+        predicted and simulated evaluations.
         """
-        with self._engine_scope():
-            cache = self.stage_cache
-            key = scenario.cycles_key if cache is not None else None
-            if cache is not None:
-                cached = cache.get_cycles(key)
-                if cached is not None:
-                    return cached
-            cycles = self._tier0_cycles(scenario)
-            if cycles is None:
-                cycles = float(WORKLOADS.get(scenario.workload)(scenario))
-            if cycles <= 0:
-                raise ValueError(
-                    f"workload {scenario.workload!r} returned non-positive "
-                    f"cycles ({cycles})"
-                )
-            if cache is not None:
-                cache.put_cycles(key, cycles)
-            return cycles
+        cache = self.stage_cache
+        key = scenario.cycles_key_for(self.engine) if cache is not None else None
+        if cache is not None:
+            cached = cache.get_cycles(key)
+            if cached is not None:
+                return cached
+        cycles = None
+        if scenario.predicted_by(self.engine):
+            from ..analytic.tier import predict_cycles
+
+            root = getattr(cache, "root", None)
+            cycles = predict_cycles(
+                scenario, root=None if root is None else str(root)
+            )
+        if cycles is None:
+            cycles = float(WORKLOADS.get(scenario.workload)(scenario))
+        if cycles <= 0:
+            raise ValueError(
+                f"workload {scenario.workload!r} returned non-positive "
+                f"cycles ({cycles})"
+            )
+        if cache is not None:
+            cache.put_cycles(key, cycles)
+        return cycles
 
     def run(self, scenario: Scenario) -> RunResult:
         """Evaluate one scenario end to end."""

@@ -32,7 +32,7 @@ from ..core.config import (
 from ..kernels.phases import DEFAULT_PHASE_PARAMS, PhaseModelParams
 from ..kernels.tiling import TilingPlan, fit_tiling, paper_tiling
 from ..simulator.memsys import DDR_CHANNEL_BYTES_PER_CYCLE, OffChipMemory
-from .registry import FLOWS, OBJECTIVES, WORKLOADS
+from .registry import FLOWS, OBJECTIVES, PREDICTORS, WORKLOADS
 
 #: Flow names that map onto the :class:`~repro.core.config.Flow` enum and
 #: therefore onto a :class:`MemPoolConfig`.  Custom registered flows build
@@ -41,11 +41,31 @@ _ENUM_FLOWS = tuple(f.value for f in Flow)
 
 _DEFAULT_ARCH = ArchParams()
 
+#: Evaluation engines of a pipeline or an engine: the fast simulator, or
+#: the calibrated tier-0 predictions, which fall back to it per
+#: scenario.  The reference simulator is bit-identical to the fast one,
+#: so it stays a simulator choice (``run_cluster(engine=...)``).
+EVALUATION_ENGINES = ("fast", "analytic")
+
 #: Float fields the sign checks cannot bound: NaN compares false with
 #: everything, and infinity is positive.
 _FINITE_FIELDS = (
     "bandwidth", "cpi_mac", "phase_overhead_cycles", "target_frequency_mhz"
 )
+
+
+def check_engine(engine: str) -> str:
+    """``engine``, if it names one of :data:`EVALUATION_ENGINES`.
+
+    Raises:
+        ValueError: On any other name.
+    """
+    if engine not in EVALUATION_ENGINES:
+        raise ValueError(
+            f"unknown evaluation engine {engine!r}; "
+            f"pick from {EVALUATION_ENGINES}"
+        )
+    return engine
 
 
 def arch_overrides(arch: ArchParams) -> Optional[dict]:
@@ -290,26 +310,32 @@ class Scenario:
         """Inverse of :meth:`to_json`."""
         return cls.from_dict(json.loads(text))
 
-    def cache_dict(self) -> dict:
+    def predicted_by(self, engine: str) -> bool:
+        """Whether evaluation engine ``engine`` predicts this scenario's
+        cycles: the analytic tier, with a predictor for the workload.
+
+        The engine check runs first, so the fast path never touches
+        (and never seeds) the predictor registry.
+        """
+        return engine == "analytic" and self.workload in PREDICTORS
+
+    def cache_dict(self, engine: str = "fast") -> dict:
         """The evaluation-determining subset of :meth:`to_dict`.
 
         The objective only ranks results — it never changes the metrics —
         so it stays out of cache keys: one evaluation serves every
         objective.
 
-        When the analytic tier is active *and* covers this workload, the
-        dict gains an ``evaluation_tier`` marker: tier-0 predictions are
-        approximations with a declared error bound, so they must never
-        share content addresses (record cache, stage memos, batch
-        overrides) with simulated results.  The mode check runs first,
-        so the default path is byte-identical to previous versions and
-        never seeds the predictor registry.
+        When ``engine`` predicts this scenario (:meth:`predicted_by`),
+        the dict gains an ``evaluation_tier`` marker: tier-0 predictions
+        are approximations with a declared error bound, so they must
+        never share content addresses (record cache, stage memos) with
+        simulated results.  Without it the dict is byte-identical to
+        previous versions.
         """
         data = self.to_dict()
         del data["objective"]
-        from ..analytic.tier import analytic_mode_active
-
-        if analytic_mode_active(self.workload):
+        if self.predicted_by(engine):
             data["evaluation_tier"] = "analytic"
         return data
 
@@ -330,7 +356,7 @@ class Scenario:
             "target_frequency_mhz": self.target_frequency_mhz,
         }
 
-    def cycles_dict(self) -> dict:
+    def cycles_dict(self, engine: str = "fast") -> dict:
         """The fields the workload ``cycles()`` stage depends on.
 
         Everything the kernel models read — problem size, tiling, core
@@ -340,14 +366,15 @@ class Scenario:
         frequency variants.  Workload plugins must honour this contract
         (read nothing else from the scenario) to be stage-cacheable.
         """
-        data = self.cache_dict()
+        data = self.cache_dict(engine)
         del data["flow"]
         del data["target_frequency_mhz"]
         return data
 
     @property
     def cache_key(self) -> str:
-        """Content address: sha256 of the canonical evaluation dict."""
+        """Content address of the simulated evaluation: sha256 of the
+        canonical evaluation dict."""
         return _CACHE_KEY.digest(self)
 
     @property
@@ -357,8 +384,21 @@ class Scenario:
 
     @property
     def cycles_key(self) -> str:
-        """Content address of the workload stage (see :meth:`cycles_dict`)."""
+        """Content address of the simulated workload stage (see
+        :meth:`cycles_dict`)."""
         return _CYCLES_KEY.digest(self)
+
+    def cache_key_for(self, engine: str) -> str:
+        """:attr:`cache_key` of the evaluation by ``engine``."""
+        if self.predicted_by(engine):
+            return _CACHE_KEY.digest(self, True)
+        return self.cache_key
+
+    def cycles_key_for(self, engine: str) -> str:
+        """:attr:`cycles_key` of the evaluation by ``engine``."""
+        if self.predicted_by(engine):
+            return _CYCLES_KEY.digest(self, True)
+        return self.cycles_key
 
 
 #: Scenario field names in declaration (and :meth:`Scenario.to_dict`) order.
@@ -408,10 +448,10 @@ class _KeyTemplate:
     and no ``json.dumps`` runs per key.  The template is that JSON with
     a ``%s`` slot for the version and for each scenario field of the
     view; anything else in the view (the ``evaluation_tier`` marker
-    :meth:`Scenario.cache_dict` adds while the analytic tier serves the
+    :meth:`Scenario.cache_dict` adds when the analytic tier predicts the
     workload) is kept as written.  It is derived from the view itself,
-    on first use with the analytic tier off and again with it on, so a
-    field added to a view reaches its key with no edit here.
+    on first use for each tier (``predicted`` false or true), so a field
+    added to a view reaches its key with no edit here.
     """
 
     def __init__(self, view, payload) -> None:
@@ -419,9 +459,10 @@ class _KeyTemplate:
         self.payload = payload
         self.forms = [None, None]  # (template, field getter) per tier
 
-    def digest(self, scenario: Scenario) -> str:
-        tier = _analytic_mode_active(scenario.workload)
-        template, getter = self.forms[tier] or self._derive(scenario, tier)
+    def digest(self, scenario: Scenario, predicted: bool = False) -> str:
+        template, getter = (
+            self.forms[predicted] or self._derive(scenario, predicted)
+        )
         get, other = _ENCODE.get, _ENCODER.encode
         blob = template % (
             encode_basestring_ascii(CODE_MODEL_VERSION),
@@ -429,10 +470,12 @@ class _KeyTemplate:
         )
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
-    def _derive(self, scenario: Scenario, tier: bool) -> tuple:
+    def _derive(self, scenario: Scenario, predicted: bool) -> tuple:
+        # Only the two views that take an engine are derived predicted.
+        engine = ("analytic",) if predicted else ()
         view = {
             name: "\0" + name if name in _FIELD_NAMES else value
-            for name, value in self.view(scenario).items()
+            for name, value in self.view(scenario, *engine).items()
         }
         blob = json.dumps(
             self.payload("\0", view), sort_keys=True, separators=(",", ":")
@@ -440,18 +483,10 @@ class _KeyTemplate:
         # "model_version" sorts first in every payload: the version's
         # empty-named slot comes first.
         names = _SLOT.findall(blob)[1:]
-        form = self.forms[tier] = (_SLOT.sub("%s", blob), attrgetter(*names))
+        form = self.forms[predicted] = (
+            _SLOT.sub("%s", blob), attrgetter(*names)
+        )
         return form
-
-
-def _analytic_mode_active(workload: str) -> bool:
-    # The analytic tier is too slow to import with this module; bind its
-    # check on first use.
-    global _analytic_mode_active
-    from ..analytic.tier import analytic_mode_active
-
-    _analytic_mode_active = analytic_mode_active
-    return analytic_mode_active(workload)
 
 
 _CACHE_KEY = _KeyTemplate(

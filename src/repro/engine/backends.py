@@ -300,7 +300,13 @@ def resolve_backend(
         workers: Worker count forwarded to the backend constructor.
         mp_context: Multiprocessing context for process-based backends.
         chunksize: Explicit chunk size for chunking backends.
+
+    Raises:
+        ValueError: On a negative ``workers`` (whatever the backend) or
+            an unknown backend name.
     """
+    if workers < 0:
+        raise ValueError("workers must be non-negative")
     if backend is None:
         backend = "process" if workers > 1 else "serial"
     if isinstance(backend, str):

@@ -6,8 +6,9 @@ executor, the ``repro.search`` driver, and the experiment harness all
 funnel their evaluations through :meth:`Engine.run_many`, which
 
 * adopts each :class:`~repro.api.Scenario` as it is, as a
-  content-addressed :class:`~repro.sweep.spec.Job` view, so each point
-  is built, validated and keyed once,
+  :class:`~repro.sweep.spec.Job` view keyed for the engine's evaluation
+  tier (``sim_engine``), so each point is built and validated once and
+  its records never cross tiers,
 * serves repeats from a two-tier cache (bounded in-memory LRU over the
   on-disk :class:`~repro.sweep.cache.ResultCache`), group-committing
   new records and stage memos as one locked append per journal,
@@ -29,7 +30,7 @@ from typing import Callable, Iterable, Iterator, Optional, Union
 
 from pathlib import Path
 
-from ..api.scenario import Scenario
+from ..api.scenario import Scenario, check_engine
 from ..obs import trace as _trace
 from ..sweep.cache import ResultCache
 from ..sweep.spec import Job
@@ -48,7 +49,9 @@ ProgressCallback = Callable[[int, int, dict], None]
 COMMIT_INTERVAL_S = 1.0
 
 
-def evaluate_job(job: Job, stage_root: Optional[str] = None):
+def evaluate_job(
+    job: Job, stage_root: Optional[str] = None, sim_engine: str = "fast"
+):
     """Evaluate one job (top-level and picklable: safe to ship to workers).
 
     Runs the job's adopted scenario through the ``repro.api`` pipeline
@@ -64,15 +67,19 @@ def evaluate_job(job: Job, stage_root: Optional[str] = None):
             memoization).  Passed as a plain string so the engine can
             ship it to pool workers via :func:`functools.partial`; each
             worker then shares one memo per cache directory.
+        sim_engine: The pipeline's evaluation engine (``"fast"`` or
+            ``"analytic"``), shipped to workers the same way.
     """
     from ..api.pipeline import Pipeline  # local: keeps worker imports lazy
 
     cache = stage_cache_for(stage_root) if stage_root is not None else None
-    return Pipeline(stage_cache=cache).run(job.scenario()).to_design_point()
+    pipeline = Pipeline(stage_cache=cache, engine=sim_engine)
+    return pipeline.run(job.scenario()).to_design_point()
 
 
-#: Marks evaluate functions that accept the engine's ``stage_root``
-#: keyword; wrappers (e.g. the sweep shim's) opt in by setting it too.
+#: Marks evaluate functions that accept the engine's ``stage_root`` and
+#: ``sim_engine`` keywords; wrappers (e.g. the sweep shim's) opt in by
+#: setting it too.
 evaluate_job.supports_stage_root = True  # type: ignore[attr-defined]
 
 
@@ -156,6 +163,11 @@ class Engine:
             kernels x A archs sweep then implements each architecture
             exactly once.  Pass ``False`` to evaluate both stages per
             job.
+        sim_engine: Evaluation engine: ``"fast"`` simulates,
+            ``"analytic"`` serves calibrated tier-0 predictions.  Every
+            item is keyed for it (pre-built jobs included), and the
+            default :func:`evaluate_job` receives it with ``stage_root``,
+            so it reaches every backend's workers.
     """
 
     def __init__(
@@ -171,29 +183,28 @@ class Engine:
         chunksize: Optional[int] = None,
         trace: Union[bool, str, Path, None] = None,
         stage_cache: bool = True,
+        sim_engine: str = "fast",
     ) -> None:
-        if workers < 0:
-            raise ValueError("workers must be non-negative")
-        if trace:
-            _trace.enable(None if trace is True else trace)
+        self.sim_engine = check_engine(sim_engine)
         self.backend = resolve_backend(
             backend, workers=workers, mp_context=mp_context, chunksize=chunksize
         )
+        if trace:
+            _trace.enable(None if trace is True else trace)
         if isinstance(cache, TieredCache):
             self.cache = cache
         else:
             self.cache = TieredCache(disk=cache, lru_size=lru_size)
         self.evaluate = evaluate
         self.stage_root: Optional[str] = None
-        if (
-            stage_cache
-            and getattr(evaluate, "supports_stage_root", False)
-            and self.cache.disk is not None
-        ):
+        if getattr(evaluate, "supports_stage_root", False):
+            if stage_cache and self.cache.disk is not None:
+                self.stage_root = str(self.cache.disk.root)
             # partial() keeps the evaluate picklable: pool workers get
             # the root as a string and build their own process-wide memo.
-            self.stage_root = str(self.cache.disk.root)
-            self.evaluate = partial(evaluate, stage_root=self.stage_root)
+            self.evaluate = partial(
+                evaluate, stage_root=self.stage_root, sim_engine=sim_engine
+            )
         self.store = store
         self.on_result = on_result
 
@@ -209,15 +220,18 @@ class Engine:
             return None
         return stage_cache_for(self.stage_root).counters()
 
-    @staticmethod
-    def _job_of(item: RunItem) -> Job:
+    def job_of(self, item: RunItem) -> Job:
+        """``item`` as a job keyed for this engine's evaluation tier (a
+        job already keyed for it is returned as is)."""
         if isinstance(item, Job):
-            return item
-        if isinstance(item, Scenario):
-            return Job.from_scenario(item)
-        raise TypeError(
-            f"engine items must be Scenario or Job, got {type(item).__name__}"
-        )
+            if item.engine == self.sim_engine:
+                return item
+            item = item.scenario()
+        elif not isinstance(item, Scenario):
+            raise TypeError(
+                f"engine items must be Scenario or Job, got {type(item).__name__}"
+            )
+        return Job.from_scenario(item, self.sim_engine)
 
     def run_many(
         self,
@@ -243,7 +257,7 @@ class Engine:
         """
         jobs: dict[str, Job] = {}
         for item in items:
-            job = self._job_of(item)
+            job = self.job_of(item)
             jobs.setdefault(job.key, job)
 
         # Adopt anything other writers (parallel engines, service
@@ -322,7 +336,7 @@ class Engine:
         ordered: list[Job] = []
         seen: set[str] = set()
         for item in items:
-            job = self._job_of(item)
+            job = self.job_of(item)
             if job.key not in seen:
                 seen.add(job.key)
                 ordered.append(job)

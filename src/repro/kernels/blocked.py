@@ -111,7 +111,7 @@ def run_blocked_matmul(
     num_cores: int = 16,
     seed: int = 23,
     scoreboard: bool = True,
-    sim_engine: str | None = None,
+    sim_engine: str = "fast",
 ) -> BlockedMatmulResult:
     """Execute the full blocked matmul schedule and verify it.
 
@@ -124,8 +124,8 @@ def run_blocked_matmul(
         num_cores: Cores running the compute phases.
         seed: RNG seed for the operand matrices.
         scoreboard: Use the non-blocking-load core model.
-        sim_engine: Simulation engine override (``"fast"``/
-            ``"reference"``; ``None`` uses the process default).
+        sim_engine: Simulation engine (``"fast"``/``"reference"``,
+            bit-identical).
 
     Returns:
         The measured decomposition and a correctness flag.

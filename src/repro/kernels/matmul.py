@@ -201,7 +201,7 @@ def run_matmul(
     seed: int = 7,
     max_cycles: int = 5_000_000,
     scoreboard: bool = False,
-    sim_engine: str | None = None,
+    sim_engine: str = "fast",
 ) -> MatmulRun:
     """Simulate an ``n x n`` matmul on the cluster and verify it.
 
@@ -214,8 +214,8 @@ def run_matmul(
         max_cycles: Simulation safety limit.
         scoreboard: Use the non-blocking-load core model (hides SPM
             latency, approaching the paper's ~3-cycle-per-MAC kernels).
-        sim_engine: Simulation engine override (``"fast"``/
-            ``"reference"``; ``None`` uses the process default).
+        sim_engine: Simulation engine (``"fast"``/``"reference"``,
+            bit-identical).
 
     Returns:
         Cycle count, correctness flag, and measured per-core MAC CPI.

@@ -329,7 +329,7 @@ def run_matvec(
     cols: int,
     num_cores: int,
     seed: int = 19,
-    sim_engine: str | None = None,
+    sim_engine: str = "fast",
 ) -> WorkloadRun:
     """Simulate and verify a matrix-vector product."""
     cluster, finish = prepare_matvec(config, rows, cols, num_cores, seed)
@@ -386,7 +386,7 @@ def run_stencil5(
     height: int,
     num_cores: int,
     seed: int = 29,
-    sim_engine: str | None = None,
+    sim_engine: str = "fast",
 ) -> WorkloadRun:
     """Simulate and verify a 5-point Laplacian stencil."""
     cluster, finish = prepare_stencil5(config, width, height, num_cores, seed)
@@ -432,7 +432,7 @@ def run_dotp(
     num_elements: int,
     num_cores: int,
     seed: int = 11,
-    sim_engine: str | None = None,
+    sim_engine: str = "fast",
 ) -> WorkloadRun:
     """Simulate and verify a dot product."""
     cluster, finish = prepare_dotp(config, num_elements, num_cores, seed)
@@ -479,7 +479,7 @@ def run_axpy(
     num_cores: int,
     scalar: int = 3,
     seed: int = 13,
-    sim_engine: str | None = None,
+    sim_engine: str = "fast",
 ) -> WorkloadRun:
     """Simulate and verify an AXPY."""
     cluster, finish = prepare_axpy(
@@ -537,7 +537,7 @@ def run_conv2d(
     height: int,
     num_cores: int,
     seed: int = 17,
-    sim_engine: str | None = None,
+    sim_engine: str = "fast",
 ) -> WorkloadRun:
     """Simulate and verify a 3x3 valid convolution."""
     cluster, finish = prepare_conv2d(config, width, height, num_cores, seed)

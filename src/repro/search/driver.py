@@ -220,6 +220,8 @@ class Searcher:
         on_result: Optional progress callback, called as
             ``on_result(done, budget, record)`` after every evaluation
             across the whole search.
+        sim_engine: Evaluation engine (``"fast"`` or ``"analytic"``),
+            forwarded to :class:`~repro.engine.Engine`.
     """
 
     def __init__(
@@ -237,6 +239,7 @@ class Searcher:
         strategy_options: Optional[dict] = None,
         backend: Union[str, object, None] = None,
         on_result: Optional[Callable[[int, int, dict], None]] = None,
+        sim_engine: str = "fast",
     ) -> None:
         if budget <= 0:
             raise ValueError("budget must be positive")
@@ -255,7 +258,8 @@ class Searcher:
         # All parallelism and caching live in the shared engine; the
         # searcher only proposes, scores, and archives.
         self.engine = Engine(
-            backend=backend, workers=workers, cache=cache, store=store
+            backend=backend, workers=workers, cache=cache, store=store,
+            sim_engine=sim_engine,
         )
         if isinstance(strategy, Strategy):
             self.strategy = strategy
@@ -322,7 +326,7 @@ class Searcher:
                 scenario = self.space.try_scenario(values)
                 if scenario is None:
                     continue
-                job = Job.from_scenario(scenario)
+                job = Job.from_scenario(scenario, self.engine.sim_engine)
                 # Distinct axis assignments can canonicalize to the same
                 # scenario (e.g. an explicit tile equal to the derived
                 # one); evaluate each content address once per search.

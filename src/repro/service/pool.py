@@ -132,9 +132,10 @@ class _Worker:
         self.events.put(("dead", self, None))
 
     def send_eval(self, eval_id: int, job: Job) -> None:
-        write_message(
-            self._wfile, {"op": "eval", "id": eval_id, "job": job.params()}
-        )
+        write_message(self._wfile, {
+            "op": "eval", "id": eval_id, "job": job.params(),
+            "engine": job.engine,
+        })
 
     def kill(self) -> None:
         """Forcefully end the session (timeouts, pool teardown)."""

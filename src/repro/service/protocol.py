@@ -9,23 +9,25 @@ workers on other hosts over TCP sockets (``repro.service.worker
 direction ``op``      payload
 ========= =========== ==========================================
 caller →  ``hello``   handshake: code-model version, evaluate
-                      spec, runtime plugin registrations,
-                      simulator-engine choice
+                      spec, runtime plugin registrations
 worker →  ``ready``   handshake accepted (worker pid)
-caller →  ``eval``    ``id`` + job parameters to evaluate
+caller →  ``eval``    ``id`` + job parameters and evaluation
+                      engine to evaluate
 worker →  ``result``  ``id`` + the finished result record
 worker →  ``error``   ``id`` + message (job could not be built)
 caller →  ``shutdown``  drain and exit
 ========= =========== ==========================================
 
-Jobs cross the wire as their content-addressed parameter dicts
-(:meth:`repro.sweep.spec.Job.params`), and results as the exact record
-dicts :func:`repro.engine.backends.run_one` emits — so a record computed
-by a remote worker is byte-identical to one computed in-process.
+Jobs cross the wire as their parameter dicts
+(:meth:`repro.sweep.spec.Job.params`) plus the evaluation engine they
+are keyed for, from which the worker computes the same key, and results
+as the exact record dicts :func:`repro.engine.backends.run_one` emits —
+so a record computed by a remote worker is byte-identical to one
+computed in-process.
 
 The *evaluate spec* keeps the common case lean: the engine's canonical
-:func:`~repro.engine.core.evaluate_job` (optionally curried with a
-``stage_root``) is named symbolically, while any other picklable
+:func:`~repro.engine.core.evaluate_job` (curried with its ``stage_root``
+and ``sim_engine``) is named symbolically, while any other picklable
 callable ships as a base64 pickle — mirroring what the ``process``
 backend can and cannot ship to its pool workers.
 """
@@ -39,7 +41,7 @@ from functools import partial
 from typing import IO, Callable, Optional
 
 #: Protocol revision; bumped on incompatible message changes.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 
 def write_message(stream: IO[bytes], message: dict) -> None:
@@ -76,10 +78,10 @@ def describe_evaluate(evaluate: Callable) -> dict:
     """The wire form of an evaluate function.
 
     The canonical evaluates (``repro.engine.core.evaluate_job`` and the
-    sweep shim's re-export, bare or curried with ``stage_root``) are
-    named symbolically so workers build their own process-wide stage
-    memo; anything else must survive pickling, exactly like a custom
-    evaluate handed to the ``process`` backend.
+    sweep shim's re-export, bare or curried with ``stage_root`` and
+    ``sim_engine``) are named symbolically so workers build their own
+    process-wide stage memo; anything else must survive pickling,
+    exactly like a custom evaluate handed to the ``process`` backend.
 
     Raises:
         ValueError: If a non-canonical evaluate cannot be pickled.
@@ -87,16 +89,16 @@ def describe_evaluate(evaluate: Callable) -> dict:
     from ..engine import core as engine_core
     from ..sweep import executor as sweep_executor
 
-    fn, stage_root = evaluate, None
+    fn, keywords = evaluate, {}
     if (
         isinstance(fn, partial)
         and not fn.args
-        and set(fn.keywords) <= {"stage_root"}
+        and set(fn.keywords) <= {"stage_root", "sim_engine"}
     ):
-        stage_root = fn.keywords.get("stage_root")
+        keywords = fn.keywords
         fn = fn.func
     if fn in (engine_core.evaluate_job, sweep_executor.evaluate_job):
-        return {"kind": "canonical", "stage_root": stage_root}
+        return {"kind": "canonical", **keywords}
     try:
         return {"kind": "pickle", "data": _pickle_b64(evaluate)}
     except Exception as exc:
@@ -111,10 +113,11 @@ def resolve_evaluate(spec: dict) -> Callable:
     if spec.get("kind") == "canonical":
         from ..engine.core import evaluate_job
 
-        stage_root = spec.get("stage_root")
-        if stage_root:
-            return partial(evaluate_job, stage_root=str(stage_root))
-        return evaluate_job
+        return partial(
+            evaluate_job,
+            stage_root=spec.get("stage_root"),
+            sim_engine=spec.get("sim_engine", "fast"),
+        )
     return _unpickle_b64(spec["data"])
 
 
@@ -123,13 +126,12 @@ def build_hello(evaluate: Callable) -> dict:
 
     Carries everything a fresh worker process (possibly on another host)
     needs to match in-process evaluation: the evaluate spec, the
-    caller's picklable runtime plugin registrations, the simulator
-    engine choice, and the code-model version for a compatibility check.
+    caller's picklable runtime plugin registrations, and the code-model
+    version for a compatibility check.
     """
     from ..api.scenario import CODE_MODEL_VERSION
     from ..engine.backends import _picklable_items
     from ..api.registry import FLOWS, WORKLOADS
-    from ..simulator.engine import default_sim_engine
 
     return {
         "op": "hello",
@@ -138,7 +140,6 @@ def build_hello(evaluate: Callable) -> dict:
         "evaluate": describe_evaluate(evaluate),
         "flows": _pickle_b64(_picklable_items(FLOWS)),
         "workloads": _pickle_b64(_picklable_items(WORKLOADS)),
-        "sim_engine": default_sim_engine(),
     }
 
 
@@ -149,7 +150,6 @@ def apply_hello(hello: dict) -> Callable:
         ValueError: On a protocol-revision mismatch.
     """
     from ..engine.backends import _init_worker
-    from ..simulator.engine import set_default_sim_engine
 
     if hello.get("protocol") != PROTOCOL_VERSION:
         raise ValueError(
@@ -159,7 +159,4 @@ def apply_hello(hello: dict) -> Callable:
     _init_worker(
         _unpickle_b64(hello["flows"]), _unpickle_b64(hello["workloads"])
     )
-    sim_engine = hello.get("sim_engine")
-    if sim_engine:
-        set_default_sim_engine(sim_engine)
     return resolve_evaluate(hello["evaluate"])

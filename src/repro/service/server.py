@@ -49,6 +49,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 from urllib.parse import parse_qs, urlsplit
 
+from ..api.scenario import check_engine
 from ..engine.backends import resolve_backend
 from ..engine.cache import TieredCache, cache_stats
 from ..engine.core import Engine
@@ -145,6 +146,8 @@ class ReproService:
         workers: Worker count for pool backends.
         queue_limit: Queued-job bound before 429 backpressure.
         max_active: Jobs executing concurrently.
+        sim_engine: Evaluation engine of every run, sweep and search
+            (``"fast"`` or ``"analytic"``).
     """
 
     def __init__(
@@ -156,6 +159,7 @@ class ReproService:
         workers: int = 0,
         queue_limit: int = DEFAULT_QUEUE_LIMIT,
         max_active: int = DEFAULT_MAX_ACTIVE,
+        sim_engine: str = "fast",
     ) -> None:
         if queue_limit <= 0:
             raise ValueError("queue_limit must be positive")
@@ -166,7 +170,8 @@ class ReproService:
         self.cache_dir = cache_dir
         self.queue_limit = queue_limit
         # Resolved before the cache directory is created: a rejected
-        # backend name leaves the filesystem untouched.
+        # name leaves the filesystem untouched.
+        check_engine(sim_engine)
         backend = resolve_backend(backend, workers=workers)
         disk = ResultCache(cache_dir) if cache_dir else None
         # Coalesce stats-sidecar merges: thousands of warm sync requests
@@ -175,6 +180,7 @@ class ReproService:
             backend=backend,
             workers=workers,
             cache=TieredCache(disk=disk, stats_flush_interval_s=2.0),
+            sim_engine=sim_engine,
         )
         self.table = JobTable()
         self._runner = ThreadPoolExecutor(
@@ -738,6 +744,7 @@ class ReproService:
             backend=self.engine.backend,
             strategy_options=spec.get("strategy_options"),
             on_result=on_result,
+            sim_engine=self.engine.sim_engine,
         )
         job.set_total(searcher.budget)
         searcher.run()

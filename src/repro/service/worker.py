@@ -10,9 +10,10 @@ In listen mode each TCP connection is an independent protocol session
 worker can serve several dispatchers.
 
 Workers are deliberately stateless between sessions: everything the
-evaluation needs — plugin registrations, the evaluate function, the
-stage-cache root, the simulator engine — arrives in the ``hello``
-handshake, so a worker binary never has to match its caller's runtime
+evaluation needs — plugin registrations, the evaluate function with its
+stage-cache root and evaluation engine — arrives in the ``hello``
+handshake, and each ``eval`` message names the engine its job is keyed
+for, so a worker binary never has to match its caller's runtime
 configuration, only its code version.
 """
 
@@ -65,7 +66,7 @@ def serve_stream(rfile: IO[bytes], wfile: IO[bytes]) -> None:
             )
             continue
         try:
-            job = Job.from_params(message["job"])
+            job = Job.from_params(message["job"], message["engine"])
         except Exception as exc:
             # The job itself cannot be built here (e.g. a workload the
             # handshake could not ship); the dispatcher owns the Job

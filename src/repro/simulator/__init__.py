@@ -6,9 +6,7 @@ from .engine import (
     SIM_ENGINES,
     SimulationResult,
     SimulationTimeout,
-    default_sim_engine,
     run_cluster,
-    set_default_sim_engine,
 )
 from .fast import FastEngine
 from .memsys import (
@@ -22,5 +20,5 @@ __all__ = [
     "ClusterTrace", "DDR_CHANNEL_BYTES_PER_CYCLE", "DMACore", "DMARequest",
     "Engine", "FastEngine", "OffChipMemory", "PAPER_BANDWIDTH_SWEEP",
     "SIM_ENGINES", "SimulationResult", "SimulationTimeout", "collect_trace",
-    "default_sim_engine", "dma_fill", "run_cluster", "set_default_sim_engine",
+    "dma_fill", "run_cluster",
 ]

@@ -7,29 +7,21 @@ cannot deadlock on already-finished cores.
 
 This reference :class:`Engine` is the oracle; :func:`run_cluster`
 dispatches between it and the bit-identical fast path in
-:mod:`repro.simulator.fast` (see :func:`set_default_sim_engine` and the
-``REPRO_SIM_ENGINE`` environment variable).
+:mod:`repro.simulator.fast`, as its ``engine`` argument says.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Optional
 
 from ..arch.cluster import MemPoolCluster
 from ..arch.snitch import CoreState
 
 #: Selectable simulation engines: the fast SoA path (with automatic
-#: fallback), the reference cycle-by-cycle stepper, and the calibrated
-#: tier-0 ``analytic`` mode.  Analytic is a *scenario-level* tier served
-#: by :mod:`repro.analytic` through the pipeline's cycles stage; a bare
-#: cluster carries no workload identity, so :func:`run_cluster` under
-#: ``analytic`` simulates on the fast path.
-SIM_ENGINES = ("fast", "reference", "analytic")
-
-#: Environment variable seeding the default engine choice.
-SIM_ENGINE_ENV = "REPRO_SIM_ENGINE"
+#: fallback) and the reference cycle-by-cycle stepper.  The calibrated
+#: tier-0 predictions are no simulator: a pipeline or engine selects
+#: them per scenario (``engine="analytic"``).
+SIM_ENGINES = ("fast", "reference")
 
 
 class SimulationTimeout(RuntimeError):
@@ -108,38 +100,10 @@ class Engine:
         )
 
 
-_default_sim_engine = os.environ.get(SIM_ENGINE_ENV, "fast")
-
-
-def default_sim_engine() -> str:
-    """The engine :func:`run_cluster` uses when none is requested."""
-    return _default_sim_engine
-
-
-def set_default_sim_engine(name: str) -> str:
-    """Set the default simulation engine; returns the previous default.
-
-    Also exports :data:`SIM_ENGINE_ENV` so spawned worker processes
-    inherit the choice.
-
-    Raises:
-        ValueError: On an unknown engine name.
-    """
-    global _default_sim_engine
-    if name not in SIM_ENGINES:
-        raise ValueError(
-            f"unknown simulation engine {name!r}; pick from {SIM_ENGINES}"
-        )
-    previous = _default_sim_engine
-    _default_sim_engine = name
-    os.environ[SIM_ENGINE_ENV] = name
-    return previous
-
-
 def run_cluster(
     cluster: MemPoolCluster,
     max_cycles: int = 5_000_000,
-    engine: Optional[str] = None,
+    engine: str = "fast",
 ) -> SimulationResult:
     """Simulate a loaded cluster to completion.
 
@@ -147,23 +111,19 @@ def run_cluster(
         cluster: A cluster with a program loaded.
         max_cycles: Safety limit.
         engine: ``"fast"`` (SoA stepper with event fast-forward, falling
-            back to the reference for unsupported setups),
-            ``"reference"`` (the cycle-by-cycle oracle), or
-            ``"analytic"`` (tier-0 prediction at the scenario level; a
-            bare cluster has no predictor, so this simulates on the fast
-            path).  ``None`` uses :func:`default_sim_engine`.  Fast and
-            reference produce bit-identical results; the choice only
-            affects wall-clock time.
+            back to the reference for unsupported setups) or
+            ``"reference"`` (the cycle-by-cycle oracle).  The two produce
+            bit-identical results; the choice only affects wall-clock
+            time.
 
     Raises:
         ValueError: On an unknown engine name.
     """
-    name = engine if engine is not None else _default_sim_engine
-    if name not in SIM_ENGINES:
+    if engine not in SIM_ENGINES:
         raise ValueError(
-            f"unknown simulation engine {name!r}; pick from {SIM_ENGINES}"
+            f"unknown simulation engine {engine!r}; pick from {SIM_ENGINES}"
         )
-    if name in ("fast", "analytic"):
+    if engine == "fast":
         from .fast import FastEngine  # local: keeps the oracle import-light
 
         if FastEngine.supports(cluster):

@@ -17,24 +17,27 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Union
 
+from ..api.scenario import check_engine
 from ..core.explorer import DesignPoint
 from .cache import ResultCache
 from .spec import Job, SweepSpec
 from .store import ResultStore, record_to_point
 
 
-def evaluate_job(job: Job, stage_root: Optional[str] = None) -> DesignPoint:
+def evaluate_job(
+    job: Job, stage_root: Optional[str] = None, sim_engine: str = "fast"
+) -> DesignPoint:
     """Evaluate one job (top-level and picklable: safe to ship to workers).
 
     Runs the job's adopted scenario through the ``repro.api`` pipeline,
     so the sweep engine shares one evaluation path with every other
     consumer — including workloads registered via ``@register_workload``.
-    ``stage_root`` keys the per-process stage memo (see
-    :func:`repro.engine.core.evaluate_job`).
+    ``stage_root`` keys the per-process stage memo and ``sim_engine``
+    picks the evaluation tier (see :func:`repro.engine.core.evaluate_job`).
     """
     from ..engine.core import evaluate_job as _evaluate
 
-    return _evaluate(job, stage_root=stage_root)
+    return _evaluate(job, stage_root=stage_root, sim_engine=sim_engine)
 
 
 evaluate_job.supports_stage_root = True  # type: ignore[attr-defined]
@@ -111,6 +114,8 @@ class SweepExecutor:
             ``workers > 1``, ``serial`` otherwise).
         on_result: Optional progress callback,
             ``on_result(done, total, record)`` per completed job.
+        sim_engine: Evaluation engine (``"fast"`` or ``"analytic"``),
+            forwarded to :class:`~repro.engine.Engine`.
     """
 
     def __init__(
@@ -123,11 +128,13 @@ class SweepExecutor:
         mp_context=None,
         backend: Union[str, object, None] = None,
         on_result: Optional[Callable[[int, int, dict], None]] = None,
+        sim_engine: str = "fast",
     ) -> None:
         if workers < 0:
             raise ValueError("workers must be non-negative")
         if chunksize is not None and chunksize <= 0:
             raise ValueError("chunksize must be positive")
+        self.sim_engine = check_engine(sim_engine)
         self.cache = cache
         self.workers = workers
         self.chunksize = chunksize
@@ -157,6 +164,7 @@ class SweepExecutor:
             mp_context=self.mp_context,
             chunksize=self.chunksize,
             on_result=self.on_result,
+            sim_engine=self.sim_engine,
         )
 
     def run(self, spec: SweepSpec | Iterable[Job]) -> SweepOutcome:
@@ -165,13 +173,12 @@ class SweepExecutor:
         Failed jobs are reported but not cached, so re-running the same
         spec retries exactly the failures (plus any genuinely new jobs).
         """
-        jobs = list(spec.jobs() if isinstance(spec, SweepSpec) else spec)
+        engine = self._make_engine()
+        items = spec.jobs() if isinstance(spec, SweepSpec) else spec
+        jobs = [engine.job_of(item) for item in items]  # keyed for its tier
         t0 = time.perf_counter()
 
-        by_key = {
-            job.key: record
-            for job, record in self._make_engine().run_many(jobs)
-        }
+        by_key = {job.key: record for job, record in engine.run_many(jobs)}
         records = [by_key[job.key] for job in jobs]
         if self.store is not None:
             for record in records:

@@ -42,11 +42,14 @@ class Job:
     """One fully-resolved design point to evaluate.
 
     A job is a view of one validated :class:`~repro.api.Scenario` plus
-    its :attr:`key`, computed at construction in the caller's context:
-    thread and spawn workers never see an ``analytic_engine()`` scope,
-    and the engine matches records to jobs by this key.  Jobs compare
-    and hash by key, and pickle without re-validation, so a worker can
-    emit failure records for a job it cannot itself validate (e.g. a
+    its :attr:`key`, computed once at construction for the evaluation
+    :attr:`engine` the job is built for (``"fast"`` unless
+    :meth:`from_scenario` or :meth:`from_params` names another): the
+    scenario's :meth:`~repro.api.Scenario.cache_key_for` that engine.
+    An :class:`~repro.engine.Engine` re-keys a job built for another
+    engine, and matches records to jobs by this key.  Jobs compare and
+    hash by key, and pickle without re-validation, so a worker can emit
+    failure records for a job it cannot itself validate (e.g. a
     workload registered only in the parent).  The field attributes
     (``capacity_mib`` ... ``arch``, with ``kernel`` for the scenario's
     ``workload``) read through to the scenario.
@@ -54,6 +57,7 @@ class Job:
 
     _scenario: Scenario = field(compare=False)
     key: str
+    engine: str = field(compare=False)
 
     def __init__(
         self,
@@ -78,15 +82,17 @@ class Job:
             target_frequency_mhz=target_frequency_mhz, arch=arch,
         ))
 
-    def _adopt(self, scenario: Scenario) -> None:
+    def _adopt(self, scenario: Scenario, engine: str = "fast") -> None:
         object.__setattr__(self, "_scenario", scenario)
-        object.__setattr__(self, "key", scenario.cache_key)
+        object.__setattr__(self, "engine", engine)
+        object.__setattr__(self, "key", scenario.cache_key_for(engine))
 
     @classmethod
-    def from_scenario(cls, scenario: Scenario) -> "Job":
-        """The job evaluating ``scenario``, adopted as is (not rebuilt)."""
+    def from_scenario(cls, scenario: Scenario, engine: str = "fast") -> "Job":
+        """The job evaluating ``scenario`` with evaluation engine
+        ``engine``, adopted as is (not rebuilt)."""
         job = cls.__new__(cls)
-        job._adopt(scenario)
+        job._adopt(scenario, engine)
         return job
 
     def __getattr__(self, name: str) -> object:
@@ -123,9 +129,15 @@ class Job:
         return self._scenario.phase_params()
 
     @classmethod
-    def from_params(cls, params: dict[str, object]) -> "Job":
-        """Rebuild a job from :meth:`params` output (e.g. a store record)."""
-        return cls(**params)
+    def from_params(
+        cls, params: dict[str, object], engine: str = "fast"
+    ) -> "Job":
+        """Rebuild a job from :meth:`params` output (e.g. a store record),
+        keyed for evaluation engine ``engine``."""
+        job = cls(**params)
+        if engine != job.engine:
+            job._adopt(job._scenario, engine)
+        return job
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,10 @@ from repro.analytic import (
     predict_cycles,
 )
 from repro.analytic.store import CalibrationRecord, _reset_stores
-from repro.analytic.tier import analytic_engine
 from repro.api import Pipeline, Scenario
 from repro.api.registry import PREDICTORS, available_predictors
 from repro.engine import Engine
 from repro.engine.cache import cache_stats
-from repro.simulator.engine import set_default_sim_engine
 from repro.sweep import ResultCache
 
 #: Valid starting dims per workload (calibrate() swaps in its own dims).
@@ -156,8 +154,7 @@ class TestPredictionAccuracy:
 
         scenario = BASE.replace(workload=workload, matrix_dim=dim,
                                 tile_size=None)
-        with analytic_engine():
-            predicted = predict_cycles(scenario)
+        predicted = predict_cycles(scenario)
         assert predicted is not None
         measured = float(WORKLOADS.get(workload)(scenario))
         bound = PREDICTORS.get(workload).error_bound
@@ -172,27 +169,26 @@ class TestPredictionAccuracy:
 class TestKeySeparation:
     def test_marker_present_only_under_analytic_mode(self):
         assert "evaluation_tier" not in BASE.cache_dict()
-        with analytic_engine():
-            assert BASE.cache_dict()["evaluation_tier"] == "analytic"
-        assert "evaluation_tier" not in BASE.cache_dict()
+        assert "evaluation_tier" not in BASE.cache_dict("fast")
+        assert BASE.cache_dict("analytic")["evaluation_tier"] == "analytic"
+        assert BASE.cycles_dict("analytic")["evaluation_tier"] == "analytic"
 
     def test_cache_and_cycles_keys_differ_across_tiers(self):
         default_cache, default_cycles = BASE.cache_key, BASE.cycles_key
-        with analytic_engine():
-            assert BASE.cache_key != default_cache
-            assert BASE.cycles_key != default_cycles
-        # Leaving the scope restores the byte-identical default keys.
-        assert BASE.cache_key == default_cache
-        assert BASE.cycles_key == default_cycles
+        assert BASE.cache_key_for("analytic") != default_cache
+        assert BASE.cycles_key_for("analytic") != default_cycles
+        # The fast engine's keys are the byte-identical default keys.
+        assert BASE.cache_key_for("fast") == default_cache
+        assert BASE.cycles_key_for("fast") == default_cycles
 
     def test_workloads_without_predictor_keep_default_keys(
         self, plain_workload
     ):
         scenario = BASE.replace(workload=plain_workload, matrix_dim=512,
                                 tile_size=None)
-        default = scenario.cache_key
-        with analytic_engine():
-            assert scenario.cache_key == default
+        assert not scenario.predicted_by("analytic")
+        assert scenario.cache_key_for("analytic") == scenario.cache_key
+        assert scenario.cycles_key_for("analytic") == scenario.cycles_key
 
 
 class TestPipelineWiring:
@@ -200,8 +196,7 @@ class TestPipelineWiring:
         scenario = BASE.replace(matrix_dim=1280, tile_size=None)
         tier1 = Pipeline().run(scenario)
         tier0 = Pipeline(engine="analytic").run(scenario)
-        with analytic_engine():
-            predicted = predict_cycles(scenario)
+        predicted = predict_cycles(scenario)
         assert tier0.cycles == pytest.approx(predicted)  # served tier-0
         assert abs(tier0.cycles - tier1.cycles) / tier1.cycles <= 0.05
         # Physical metrics come from the same implement stage either way.
@@ -210,23 +205,12 @@ class TestPipelineWiring:
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
             Pipeline(engine="psychic")
-
-    def test_global_default_engine_routes_to_tier0(self):
-        scenario = BASE.replace(matrix_dim=2048, tile_size=None)
-        expected = Pipeline(engine="analytic").run(scenario).cycles
-        previous = set_default_sim_engine("analytic")
-        try:
-            assert Pipeline().run(scenario).cycles == expected
-        finally:
-            set_default_sim_engine(previous)
-
-    def test_run_cluster_analytic_falls_back_to_fast(self):
-        from repro.core.config import config_by_name
-        from repro.kernels.workloads import run_dotp
-
-        run = run_dotp(config_by_name("MemPool-2D-1MiB"), 64, 4,
-                       sim_engine="analytic")
-        assert run.correct
+        # The reference simulator is a simulator choice, bit-identical
+        # to fast: no evaluation tier of its own.
+        with pytest.raises(ValueError, match="unknown evaluation engine"):
+            Pipeline(engine="reference")
+        with pytest.raises(ValueError, match="unknown evaluation engine"):
+            Engine(sim_engine="reference")
 
 
 class TestEngineTier0:
@@ -236,12 +220,9 @@ class TestEngineTier0:
             for dim in (512, 1024)
             for bw in (8.0, 32.0)
         ]
-        previous = set_default_sim_engine("analytic")
-        try:
-            engine = Engine(backend="serial", cache=ResultCache(tmp_path))
-            outcome = engine.run(scenarios)
-        finally:
-            set_default_sim_engine(previous)
+        engine = Engine(backend="serial", cache=ResultCache(tmp_path),
+                        sim_engine="analytic")
+        outcome = engine.run(scenarios)
         assert outcome.stats.failed == 0
         assert len(outcome.ok_records) == 4
         assert (tmp_path / CalibrationStore.FILENAME).exists()
@@ -254,19 +235,16 @@ class TestEngineTier0:
         scenario = BASE.replace(matrix_dim=1024, tile_size=None)
         cache = ResultCache(tmp_path)
         Engine(backend="serial", cache=cache).run([scenario])
-        previous = set_default_sim_engine("analytic")
-        try:
-            outcome = Engine(backend="serial",
-                             cache=ResultCache(tmp_path)).run([scenario])
-        finally:
-            set_default_sim_engine(previous)
+        outcome = Engine(backend="serial", cache=ResultCache(tmp_path),
+                         sim_engine="analytic").run([scenario])
         # The analytic run must not be served from the tier-1 record.
         assert outcome.stats.evaluated == 1
 
     def test_scope_serves_predictions_under_its_key_marker(self, tmp_path):
-        """Inside ``analytic_engine()`` a default pipeline predicts, so the
-        analytic-marked key never holds simulated cycles; an explicit
-        simulation engine inside the scope simulates under a plain key."""
+        """The analytic tier's scope is its engine argument: an analytic
+        engine predicts under the analytic-marked keys, which never hold
+        simulated cycles, while a fast pipeline on the same directory
+        simulates under the plain keys."""
         from repro.engine import StageCache
 
         scenario = Scenario(workload="dotp", matrix_dim=256, num_cores=16,
@@ -274,17 +252,84 @@ class TestEngineTier0:
         simulated = Pipeline(engine="fast").run(scenario).cycles
         predicted = Pipeline(engine="analytic").run(scenario).cycles
         assert simulated != predicted  # the check below can tell them apart
-        plain_key = scenario.cycles_key
-        with analytic_engine():
-            record = Engine(backend="serial", cache=ResultCache(tmp_path)).run(
-                [scenario]).records[0]
-            scoped = Pipeline().run(scenario).cycles
-            stages = StageCache(tmp_path / "fast")
-            pinned = Pipeline(engine="fast", stage_cache=stages).run(scenario)
+        record = Engine(backend="serial", cache=ResultCache(tmp_path),
+                        sim_engine="analytic").run([scenario]).records[0]
+        stages = StageCache(tmp_path)
+        pinned = Pipeline(engine="fast", stage_cache=stages).run(scenario)
+        assert record["key"] == scenario.cache_key_for("analytic")
         assert record["metrics"]["cycles"] == predicted
-        assert scoped == predicted
+        assert stages.peek(scenario.cycles_key_for("analytic")) == predicted
         assert pinned.cycles == simulated
-        assert stages.peek(plain_key) == simulated
+        assert stages.peek(scenario.cycles_key) == simulated
+
+
+    @pytest.mark.parametrize(
+        "backend,context",
+        [("thread", None), ("process", "fork"), ("process", "spawn"),
+         ("remote", None)],
+        ids=["thread", "process-fork", "process-spawn", "remote"],
+    )
+    def test_every_backend_stores_predictions(self, tmp_path, backend,
+                                              context):
+        """The tier chosen on the engine reaches every backend's workers
+        and keys their records: each stores serial's predictions, under
+        the analytic-marked keys, and a fresh engine serves them back."""
+        import multiprocessing
+
+        scenarios = [
+            Scenario(capacity_mib=1, workload="dotp", matrix_dim=dim,
+                     num_cores=16)
+            for dim in (768, 1536, 3000, 5000)
+        ]
+
+        def run(name, root, **options):
+            return Engine(backend=name, cache=ResultCache(root),
+                          sim_engine="analytic", **options).run(scenarios)
+
+        serial = run("serial", tmp_path / "serial")
+        assert [r["metrics"]["cycles"] for r in serial.records] == [
+            926.0, 1835.0, 3577.25, 5944.4375,
+        ]
+        assert serial.records[0]["key"].startswith("0aa1aacadb4f")
+        assert [r["key"] for r in serial.records] == [
+            s.cache_key_for("analytic") for s in scenarios
+        ]
+
+        mp_context = multiprocessing.get_context(context) if context else None
+        root = tmp_path / backend
+        outcome = run(backend, root, workers=2, mp_context=mp_context)
+        assert outcome.stats.evaluated == 4
+        assert outcome.records == serial.records
+
+        again = run("serial", root)
+        assert again.stats.cached == 4
+        assert [r["metrics"] for r in again.records] == [
+            r["metrics"] for r in serial.records
+        ]
+
+
+    def test_sweep_executor_keys_prebuilt_jobs_for_its_tier(self, tmp_path):
+        """Jobs from ``SweepSpec.jobs()`` are built for the fast engine;
+        an analytic executor keys, evaluates and returns them for its
+        own tier."""
+        from repro.sweep import SweepExecutor, SweepSpec
+
+        spec = SweepSpec(capacities_mib=(1,), flows=("2D",),
+                         bandwidths=(8.0, 32.0), matrix_dims=(768,),
+                         core_counts=(16,), kernels=("dotp",))
+        outcome = SweepExecutor(cache=ResultCache(tmp_path),
+                                sim_engine="analytic").run(spec)
+        scenarios = [job.scenario() for job in spec.jobs()]
+        tier0 = Pipeline(engine="analytic")
+        assert [r["key"] for r in outcome.records] == [
+            s.cache_key_for("analytic") for s in scenarios
+        ]
+        assert [job.key for job in outcome.jobs] == [
+            r["key"] for r in outcome.records
+        ]
+        assert [r["metrics"]["cycles"] for r in outcome.records] == [
+            tier0.run(s).cycles for s in scenarios
+        ]
 
 
 class TestSuccessiveHalvingScreen:
@@ -427,15 +472,25 @@ class TestCli:
         assert main(["trajectory", "append"]) == 2
         assert "--analytic" in capsys.readouterr().err
 
+    def test_sweep_with_analytic_sim_engine_resumes(self, tmp_path, capsys):
+        argv = ["sweep", "--capacities", "1", "--flows", "2D",
+                "--bandwidths", "8,32", "--matrix-dims", "768",
+                "--core-counts", "16", "--kernels", "dotp",
+                "--cache-dir", str(tmp_path), "--sim-engine", "analytic"]
+        assert main(argv) == 0
+        assert "2 jobs: 0 cached, 2 evaluated, 0 failed" in (
+            capsys.readouterr().out
+        )
+        assert main(argv) == 0
+        assert "2 jobs: 2 cached, 0 evaluated, 0 failed" in (
+            capsys.readouterr().out
+        )
+
     def test_run_with_analytic_sim_engine(self, tmp_path, capsys):
-        previous = set_default_sim_engine("fast")
-        try:
-            scenario = dict(BASE.replace(matrix_dim=2048,
-                                         tile_size=None).to_dict())
-            path = tmp_path / "scenario.json"
-            path.write_text(json.dumps(scenario))
-            assert main(["run", "--scenario", str(path),
-                         "--sim-engine", "analytic"]) == 0
-            assert "cycles" in capsys.readouterr().out
-        finally:
-            set_default_sim_engine(previous)
+        scenario = BASE.replace(matrix_dim=2048, tile_size=None)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario.to_dict()))
+        assert main(["run", "--scenario", str(path),
+                     "--sim-engine", "analytic"]) == 0
+        predicted = Pipeline(engine="analytic").run(scenario).cycles
+        assert f"cycles:          {predicted:10.3e}" in capsys.readouterr().out

@@ -3,13 +3,11 @@
 import hashlib
 import json
 import math
-from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analytic import analytic_engine
 from repro.api import (
     CODE_MODEL_VERSION,
     FLOWS,
@@ -390,10 +388,9 @@ class TestPinnedKeyBytes:
         assert keys == _PINNED_KEYS[name]
 
     def test_keys_inside_analytic_engine(self):
-        with analytic_engine():
-            scenario = Scenario(**_PINNED_SCENARIOS["dotp"])
-            keys = (scenario.cache_key, scenario.physical_key,
-                    scenario.cycles_key)
+        scenario = Scenario(**_PINNED_SCENARIOS["dotp"])
+        keys = (scenario.cache_key_for("analytic"), scenario.physical_key,
+                scenario.cycles_key_for("analytic"))
         assert keys == (
             "e09955d3b37bafd35d55232a41d6e17adde2b9082c728c4d7df96999103e47db",
             # The physical key carries no evaluation-tier marker.
@@ -479,7 +476,7 @@ def _public_scenarios(draw):
     )
 
 
-def _json_dumps_keys(scenario):
+def _json_dumps_keys(scenario, engine):
     """The three keys as sha256 of ``json.dumps`` of each dict view."""
     def digest(payload):
         blob = json.dumps({"model_version": CODE_MODEL_VERSION, **payload},
@@ -487,9 +484,9 @@ def _json_dumps_keys(scenario):
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     return (
-        digest({"scenario": scenario.cache_dict()}),
+        digest({"scenario": scenario.cache_dict(engine)}),
         digest({"stage": "physical", "params": scenario.physical_dict()}),
-        digest({"stage": "cycles", "params": scenario.cycles_dict()}),
+        digest({"stage": "cycles", "params": scenario.cycles_dict(engine)}),
     )
 
 
@@ -500,9 +497,8 @@ class TestKeyTemplates:
     @settings(max_examples=60, deadline=None)
     @given(kwargs=_public_scenarios())
     def test_keys_equal_json_dumps_of_views(self, tier, kwargs):
-        scope = analytic_engine() if tier == "analytic" else nullcontext()
-        with scope:
-            scenario = Scenario(**kwargs)
-            keys = (scenario.cache_key, scenario.physical_key,
-                    scenario.cycles_key)
-            assert keys == _json_dumps_keys(scenario)
+        engine = "analytic" if tier == "analytic" else "fast"
+        scenario = Scenario(**kwargs)
+        keys = (scenario.cache_key_for(engine), scenario.physical_key,
+                scenario.cycles_key_for(engine))
+        assert keys == _json_dumps_keys(scenario, engine)

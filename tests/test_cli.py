@@ -32,6 +32,20 @@ class TestParser:
         assert args.workers == 0
         assert args.cache_dir == ".sweep-cache"
 
+    def test_sim_engine_choices(self):
+        """``reference`` is a simulator choice (``simulate``); the
+        evaluation commands choose between fast and analytic."""
+        parser = build_parser()
+        assert parser.parse_args(["simulate"]).sim_engine == "fast"
+        parser.parse_args(["simulate", "--sim-engine", "reference"])
+        for command in ("run", "sweep", "search", "serve"):
+            assert parser.parse_args([command]).sim_engine == "fast"
+            parser.parse_args([command, "--sim-engine", "analytic"])
+        for argv in (["simulate", "--sim-engine", "analytic"],
+                     ["sweep", "--sim-engine", "reference"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
+
     def test_sweep_csv_axes(self):
         args = build_parser().parse_args(
             ["sweep", "--capacities", "1,8", "--bandwidths", "4,64"]
@@ -56,6 +70,34 @@ class TestCommands:
     def test_implement_cluster(self, capsys):
         assert main(["implement", "MemPool-3D-1MiB", "--cluster"]) == 0
         assert "cluster level" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kernel", ["dotp", "matmul"])
+    def test_simulate_passes_its_engine(self, kernel, capsys, monkeypatch):
+        """Each choice reaches the simulator, and the two bit-identical
+        engines print identical lines."""
+        import repro.kernels.matmul as matmul
+        import repro.kernels.workloads as workloads
+
+        seen = []
+
+        def spy(run_cluster):
+            def run(cluster, *args, engine="fast", **kwargs):
+                seen.append(engine)
+                return run_cluster(cluster, *args, engine=engine, **kwargs)
+            return run
+
+        for module in (matmul, workloads):
+            monkeypatch.setattr(module, "run_cluster",
+                                spy(module.run_cluster))
+        lines = {}
+        for engine in ("fast", "reference"):
+            argv = ["simulate", "--kernel", kernel, "--n", "16",
+                    "--cores", "4", "--sim-engine", engine]
+            assert main(argv) == 0
+            lines[engine] = capsys.readouterr().out
+        assert seen == ["fast", "reference"]
+        assert lines["fast"] == lines["reference"]
+        assert "verified: True" in lines["fast"]
 
     def test_simulate_matmul(self, capsys):
         assert main(["simulate", "--kernel", "matmul", "--n", "8", "--cores", "4"]) == 0
@@ -224,8 +266,19 @@ def _serve_forever(coro):  # a started service would never return
     raise AssertionError("the bad name was not rejected")
 
 
+#: Rejected counts, each with the default cache and archive paths.
+BAD_COUNTS = [
+    pytest.param(["search", "--budget", "0"], id="search-budget"),
+    pytest.param(["search", "--generation", "0"], id="search-generation"),
+    pytest.param(["search", "--workers", "-1"], id="search-workers"),
+    pytest.param(["serve", "--workers", "-1"], id="serve-workers"),
+    pytest.param(["sweep", "--workers", "-1"], id="sweep-workers"),
+]
+
+
 class TestUnknownNames:
-    """A bad name on the command line is one stderr line and exit 2."""
+    """A bad name (or count) on the command line is one stderr line and
+    exit 2."""
 
     @pytest.mark.parametrize("argv", BAD_NAMES)
     def test_exits_2_with_one_line(self, capsys, monkeypatch, tmp_path, argv):
@@ -256,6 +309,28 @@ class TestUnknownNames:
         before = sorted(p.name for p in tmp_path.iterdir())
         assert main(argv) == 2
         capsys.readouterr()
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert archive.read_bytes() == b'{"key": "last-search"}\n'
+
+    @pytest.mark.parametrize("argv", BAD_COUNTS)
+    def test_a_rejected_count_leaves_the_filesystem_untouched(
+        self, capsys, monkeypatch, tmp_path, argv
+    ):
+        """A count is checked before the archive is reset or a cache
+        directory created, and rejected in one line."""
+        from repro.__main__ import DEFAULT_SEARCH_ARCHIVE
+
+        monkeypatch.setattr(asyncio, "run", _serve_forever)
+        monkeypatch.chdir(tmp_path)
+        archive = tmp_path / DEFAULT_SEARCH_ARCHIVE
+        archive.write_bytes(b'{"key": "last-search"}\n')
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"repro {argv[0]}: ")
         assert sorted(p.name for p in tmp_path.iterdir()) == before
         assert archive.read_bytes() == b'{"key": "last-search"}\n'
 

@@ -31,9 +31,7 @@ from repro.kernels.workloads import (
 from repro.simulator.engine import (
     Engine,
     SimulationTimeout,
-    default_sim_engine,
     run_cluster,
-    set_default_sim_engine,
 )
 from repro.simulator.fast import FastEngine
 from repro.simulator.memsys import OffChipMemory
@@ -486,21 +484,25 @@ class TestLargestCapacity:
 
 
 class TestDispatchAndFallback:
-    def test_default_engine_is_fast(self):
-        assert default_sim_engine() in ("fast", "reference")
-
-    def test_set_default_round_trips(self):
-        previous = set_default_sim_engine("reference")
-        try:
-            assert default_sim_engine() == "reference"
-        finally:
-            set_default_sim_engine(previous)
+    def test_default_engine_is_fast(self, monkeypatch):
+        runs = []
+        run = FastEngine.run
+        monkeypatch.setattr(
+            FastEngine, "run", lambda self: runs.append(self) or run(self)
+        )
+        cluster = MemPoolCluster(_config("2D"))
+        cluster.load_program(ProgramBuilder().halt().build(), num_cores=1)
+        assert run_cluster(cluster).instructions == 1
+        assert len(runs) == 1
 
     def test_unknown_engine_rejected(self):
         cluster = MemPoolCluster(_config("2D"))
         cluster.load_program(ProgramBuilder().halt().build(), num_cores=1)
         with pytest.raises(ValueError, match="unknown simulation engine"):
             run_cluster(cluster, engine="warp")
+        # Tier-0 predicts scenarios; a bare cluster has none to predict.
+        with pytest.raises(ValueError, match="unknown simulation engine"):
+            run_cluster(cluster, engine="analytic")
 
     def test_unsupported_cluster_falls_back(self):
         """A subclassed core model silently uses the reference engine."""

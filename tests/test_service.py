@@ -123,6 +123,46 @@ class TestServiceEndToEnd:
             assert len(records) == 5
             assert client.status(job_id)["state"] == "done"
 
+    def test_analytic_service_serves_predictions(self, tmp_path):
+        """A service built for the analytic tier answers sync runs and
+        searches with tier-0 predictions, under the analytic keys."""
+        from repro.api import Pipeline, Scenario
+        from repro.sweep import Job
+
+        base = dict(capacity_mib=1, workload="dotp", num_cores=16)
+        scenarios = [Scenario(matrix_dim=dim, **base)
+                     for dim in (768, 1536, 3000)]
+        space = {
+            "axes": [{"kind": "choice", "name": "matrix_dim",
+                      "values": [768, 1536, 3000, 5000]}],
+            "base": base,
+        }
+        service = ReproService(port=0, cache_dir=str(tmp_path / "cache"),
+                               sim_engine="analytic")
+        with service.run_in_thread() as url:
+            client = ServiceClient(url)
+            runs = client.run(scenarios)
+            job_id = client.submit_search(space, strategy="random",
+                                          budget=3, seed=1)
+            searched = list(client.iter_results(job_id))
+            assert client.status(job_id)["state"] == "done"
+
+        tier0, simulated = Pipeline(engine="analytic"), Pipeline()
+        assert [r["metrics"]["cycles"] for r in runs] == [
+            tier0.run(s).cycles for s in scenarios
+        ]
+        assert [r["key"] for r in runs] == [
+            s.cache_key_for("analytic") for s in scenarios
+        ]
+        assert runs[0]["metrics"]["cycles"] != (
+            simulated.run(scenarios[0]).cycles
+        )
+        assert len(searched) == 3
+        for record in searched:
+            scenario = Job.from_params(record["job"]).scenario()
+            assert record["key"] == scenario.cache_key_for("analytic")
+            assert record["metrics"]["cycles"] == tier0.run(scenario).cycles
+
     def test_cancel_running_job_stops_early(self):
         service = _slowed(ReproService(port=0), delay_s=0.2)
         with service.run_in_thread() as url:
