@@ -5,9 +5,8 @@ the shared tiered cache, then hammers the sync endpoint from several
 concurrent keep-alive clients.  Assertions cover **correctness only**
 (every warm response is cache-sourced, and the engine performed exactly
 one evaluation per design point — zero duplicates); the requests/second
-figure is printed and recorded in ``BENCH_service.json``, the trajectory
-artifact the benchmarks CI job uploads, so throughput regressions show
-up in the log without failing the job on timing variance.
+figure is printed and recorded in ``BENCH_service.json``, the stamped
+artifact the benchmarks CI job uploads, not asserted.
 """
 
 import threading
@@ -34,7 +33,7 @@ _RESULTS: dict[str, dict] = {}
 
 @pytest.fixture(scope="module", autouse=True)
 def _emit_artifact(write_bench):
-    """Write the throughput trajectory after the module's benchmarks ran."""
+    """Write the throughput artifact after the module's benchmarks ran."""
     yield
     if not _RESULTS:
         return

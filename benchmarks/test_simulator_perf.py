@@ -4,10 +4,8 @@ Races the fast SoA engine against the reference cycle-by-cycle engine on
 every simulator-backed workload (dotp/axpy/conv2d/matvec/stencil5), the
 16x16/16-core blocked matmul, and the full blocked-matmul schedule.
 Assertions cover **correctness only** (verified results, bit-identical
-cycle counts); timings are printed and recorded in ``BENCH_sim.json`` —
-a trajectory artifact the benchmarks CI job uploads — so speed
-regressions show up in the log without ever failing the job on timing
-variance.
+cycle counts); timings are printed and recorded in ``BENCH_sim.json``,
+the stamped artifact the benchmarks CI job uploads, not asserted.
 """
 
 import time
@@ -43,7 +41,7 @@ def _warmup():
 
 @pytest.fixture(scope="module", autouse=True)
 def _emit_artifact(write_bench):
-    """Write the speedup trajectory after the module's benchmarks ran."""
+    """Write the speedup artifact after the module's benchmarks ran."""
     yield
     if not _RESULTS:
         return
@@ -58,7 +56,7 @@ def _race(name: str, runner, rounds: int = 3) -> None:
     """Time ``runner(engine)`` on both engines; assert equivalence only.
 
     Takes the best of ``rounds`` runs per engine so scheduler noise on
-    shared CI runners does not distort the recorded trajectory.
+    shared CI runners does not distort the recorded timings.
     """
     timings = {}
     runs = {}

@@ -96,9 +96,6 @@ _ANALYSIS_EXPORTS = (
 #: Names re-exported lazily from the ``repro.obs`` observability layer.
 _OBS_EXPORTS = (
     "StageProfiler",
-    "append_trajectory",
-    "check_trajectory",
-    "load_bench",
     "render_html",
     "stamp_bench",
     "write_html",

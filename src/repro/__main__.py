@@ -15,10 +15,8 @@ Usage::
     python -m repro cache gc --keep-version
     python -m repro cache merge worker-cache --cache-dir .sweep-cache
     python -m repro report results.jsonl --objective edp --pareto
-    python -m repro report results.jsonl --html report.html --trajectory BENCH_trajectory.json
+    python -m repro report results.jsonl --html report.html --trace trace.jsonl
     python -m repro metrics --url http://127.0.0.1:8787 [--prometheus]
-    python -m repro trajectory append --sim BENCH_sim.json --service BENCH_service.json
-    python -m repro trajectory check --file BENCH_trajectory.json
     python -m repro experiments [table1 table2 fig6 fig789]
     python -m repro serve --port 8787 --cache-dir .sweep-cache
 """
@@ -412,30 +410,21 @@ def _report_html(args: argparse.Namespace) -> int:
             print(f"repro report: no records in {args.results}",
                   file=sys.stderr)
             return 1
-        records = ResultStore(args.results).load()
-    trajectory = (
-        obs_report.load_trajectory(args.trajectory)
-        if args.trajectory else None
-    )
+        records = list(ResultStore(args.results).latest().values())
     stage_profile = None
     if args.trace:
         stage_profile = StageProfiler.from_trace(args.trace).breakdown() or None
-    if not records and trajectory is None and stage_profile is None:
+    if not records and stage_profile is None:
         print("repro report --html: nothing to render (give a results "
-              "JSONL, --trajectory, or --trace)", file=sys.stderr)
+              "JSONL or --trace)", file=sys.stderr)
         return 2
     out = obs_report.write_html(
         args.html,
         records=records,
-        trajectory=trajectory,
         stage_profile=stage_profile,
         title=args.title,
     )
-    sections = sum((
-        bool(records),
-        trajectory is not None,
-        stage_profile is not None,
-    ))
+    sections = bool(records) + (stage_profile is not None)
     print(f"wrote {out} ({sections} data section(s), self-contained)")
     return 0
 
@@ -457,7 +446,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if not Path(args.results).is_file():
         print(f"repro report: no records in {args.results}", file=sys.stderr)
         return 1
-    records = ResultStore(args.results).load()
+    # A store that several runs appended to holds a design once per
+    # run; report each design once, by its last record.
+    records = list(ResultStore(args.results).latest().values())
     if not records:
         print(f"repro report: no records in {args.results}", file=sys.stderr)
         return 1
@@ -552,44 +543,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     except (ServiceError, ConnectionError) as exc:
         print(f"repro metrics: {exc}", file=sys.stderr)
         return 1
-    return 0
-
-
-def _cmd_trajectory(args: argparse.Namespace) -> int:
-    """Maintain and gate the tracked BENCH trajectory file."""
-    from .obs import report as obs_report
-
-    if args.action == "append":
-        if not args.sim and not args.service and not args.analytic:
-            print("repro trajectory append: need --sim, --service, "
-                  "and/or --analytic", file=sys.stderr)
-            return 2
-        try:
-            entry = obs_report.append_trajectory(
-                args.file,
-                sim=args.sim or None,
-                service=args.service or None,
-                analytic=args.analytic or None,
-                label=args.label,
-            )
-        except (OSError, ValueError) as exc:
-            print(f"repro trajectory append: {exc}", file=sys.stderr)
-            return 1
-        parts = [k for k in ("sim", "service", "analytic") if entry.get(k)]
-        print(f"appended entry {entry.get('label') or '(unlabelled)'} "
-              f"({'+'.join(parts)}) to {args.file}")
-        return 0
-    # check
-    try:
-        problems = obs_report.check_trajectory(args.file)
-    except (OSError, ValueError) as exc:
-        print(f"repro trajectory check: {exc}", file=sys.stderr)
-        return 1
-    if problems:
-        for problem in problems:
-            print(f"REGRESSION: {problem}", file=sys.stderr)
-        return 1
-    print(f"trajectory {args.file}: structural checks pass")
     return 0
 
 
@@ -854,10 +807,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="rows shown in ranked tables")
     p_rep.add_argument("--html", default=None, metavar="OUT",
                        help="write a self-contained HTML report (Pareto "
-                            "front, sweep heatmap, stage breakdown, BENCH "
-                            "trajectory) instead of text output")
-    p_rep.add_argument("--trajectory", default=None, metavar="FILE",
-                       help="BENCH trajectory JSON folded into --html")
+                            "front, sweep heatmap, stage breakdown) instead "
+                            "of text output")
     p_rep.add_argument("--trace", default=None, metavar="FILE",
                        help="trace JSONL whose stage.* spans become the "
                             "per-stage breakdown in --html")
@@ -873,32 +824,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_met.add_argument("--prometheus", action="store_true",
                        help="Prometheus text exposition instead of JSON")
     p_met.set_defaults(func=_cmd_metrics)
-
-    p_traj = sub.add_parser(
-        "trajectory", help="maintain / gate the tracked BENCH trajectory"
-    )
-    traj_sub = p_traj.add_subparsers(dest="action", required=True)
-    p_ta = traj_sub.add_parser(
-        "append", help="fold BENCH artifacts into the trajectory file"
-    )
-    p_ta.add_argument("--file", default="BENCH_trajectory.json",
-                      help="trajectory JSON (created if missing)")
-    p_ta.add_argument("--sim", default=None, metavar="BENCH_sim.json",
-                      help="simulator BENCH artifact")
-    p_ta.add_argument("--service", default=None, metavar="BENCH_service.json",
-                      help="service BENCH artifact")
-    p_ta.add_argument("--analytic", default=None,
-                      metavar="BENCH_analytic.json",
-                      help="analytic-tier BENCH artifact")
-    p_ta.add_argument("--label", default=None,
-                      help="entry label (e.g. a short commit SHA)")
-    p_ta.set_defaults(func=_cmd_trajectory)
-    p_tc = traj_sub.add_parser(
-        "check", help="fail on structural regressions in the latest entry"
-    )
-    p_tc.add_argument("--file", default="BENCH_trajectory.json",
-                      help="trajectory JSON to gate on")
-    p_tc.set_defaults(func=_cmd_trajectory)
 
     p_x = sub.add_parser("experiments", help="regenerate tables/figures")
     p_x.add_argument("names", nargs="*", help="subset of experiments")

@@ -19,6 +19,7 @@ from ..kernels.tiling import TilingPlan, paper_tiling
 from ..simulator.memsys import DDR_CHANNEL_BYTES_PER_CYCLE
 from .config import CAPACITIES_MIB, Flow, MemPoolConfig
 from .metrics import KernelMetrics
+from .pareto import non_dominated
 
 
 @dataclass(frozen=True)
@@ -110,10 +111,13 @@ def pareto_front(
     """Pareto-optimal points under arbitrary objective tuples.
 
     A point is dominated if another point is at least as good on every
-    objective and strictly better on one.
+    objective and strictly better on one, so exact ties all stay on the
+    front.  The objectives are folded into minimization cost vectors for
+    :func:`repro.core.pareto.non_dominated`.
 
     Args:
-        points: The candidate points.
+        points: The candidate points; with custom ``objectives``, any
+            objects their keys read (the HTML report passes records).
         objectives: ``(key_fn, higher_is_better)`` pairs, e.g. entries of
             the ``repro.api`` objective registry.  Defaults to the
             paper's performance/energy-efficiency pair, preserving the
@@ -132,23 +136,12 @@ def pareto_front(
     if not objectives:
         raise ValueError("pareto_front needs at least one objective")
     points = list(points)
-    # Fold every point into a maximization vector once, so domination
-    # checks are plain tuple comparisons.
-    gains = [
-        tuple(key(p) if higher else -key(p) for key, higher in objectives)
+    costs = [
+        tuple(-key(p) if higher else key(p) for key, higher in objectives)
         for p in points
     ]
-    front = [
-        p
-        for p, g in zip(points, gains)
-        if not any(
-            all(o >= v for o, v in zip(other, g))
-            and any(o > v for o, v in zip(other, g))
-            for other in gains
-        )
-    ]
-    first_key = objectives[0][0]
-    return sorted(front, key=first_key)
+    front = [points[i] for i in non_dominated(costs)]
+    return sorted(front, key=objectives[0][0])
 
 
 class Explorer:

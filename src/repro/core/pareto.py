@@ -1,11 +1,13 @@
-"""Multi-objective primitives over minimization cost vectors.
+"""Pareto domination over minimization cost vectors.
 
-Every candidate in :mod:`repro.search` carries a *cost vector*: its
-objective values folded into pure-minimization form (higher-is-better
-objectives negated), one entry per search objective.  This module holds
-the vector arithmetic the strategies and the archive share — Pareto
-domination, non-dominated filtering/sorting, and crowding distance (the
-NSGA-II diversity measure).
+A *cost vector* holds one candidate's objective values folded into
+pure-minimization form (higher-is-better objectives negated).  This is
+the repo's one non-domination routine: :func:`repro.core.explorer.pareto_front`
+(and through it ``repro report --pareto`` and the HTML report) folds
+its objectives into cost vectors and calls :func:`non_dominated`, and
+the :mod:`repro.search` strategies and archive use the rest — the
+non-dominated sort and crowding distance (the NSGA-II diversity
+measure).  The module imports nothing, so ``repro.core`` stays light.
 """
 
 from __future__ import annotations

@@ -8,22 +8,14 @@ Four small modules, one discipline (disarmed costs one boolean check):
   exported as JSON and Prometheus text (``GET /v1/metrics``).
 * :mod:`repro.obs.profile` — per-stage profiling hooks over the
   pipeline, aggregated into per-sweep breakdowns.
-* :mod:`repro.obs.report` — stamped BENCH artifacts, the tracked
-  trajectory + its structural CI gate, and self-contained HTML reports.
+* :mod:`repro.obs.report` — stamped BENCH artifacts and self-contained
+  HTML reports.
 """
 
 from . import metrics, profile, trace
 from .metrics import REGISTRY, Counter, Gauge, Histogram, MetricsRegistry
 from .profile import StageProfiler
-from .report import (
-    append_trajectory,
-    check_trajectory,
-    load_bench,
-    load_trajectory,
-    render_html,
-    stamp_bench,
-    write_html,
-)
+from .report import render_html, stamp_bench, write_html
 
 __all__ = [
     "REGISTRY",
@@ -32,10 +24,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "StageProfiler",
-    "append_trajectory",
-    "check_trajectory",
-    "load_bench",
-    "load_trajectory",
     "metrics",
     "profile",
     "render_html",

@@ -1,28 +1,22 @@
-"""Benchmark artifact loading, the BENCH trajectory, and HTML reports.
+"""Stamped benchmark artifacts and self-contained HTML reports.
 
-Three related jobs live here:
+Two related jobs live here:
 
 * **Stamped artifacts** — :func:`stamp_bench` adds ``schema_version``
   plus host metadata (python version, cpu count, platform) to the
-  ``BENCH_sim.json`` / ``BENCH_service.json`` emitters, and
-  :func:`load_bench` validates either shape while tolerating the old
-  unstamped files, so trajectory comparisons across PRs stay
-  apples-to-apples.
-* **The trajectory** — :func:`append_trajectory` folds one run of both
-  emitters into the tracked ``BENCH_trajectory.json``;
-  :func:`check_trajectory` is the CI gate: *structural* regressions
-  (warm re-evaluations, duplicate evaluations, a cache hit-rate drop)
-  fail, raw timing deltas never do — shared runners make wall-clock
-  noise, but a warm sweep that re-evaluates is broken on any machine.
+  ``BENCH_sim.json`` / ``BENCH_service.json`` / ``BENCH_analytic.json``
+  emitters in ``benchmarks/``, so a number is never read without the
+  machine it came from.
 * **HTML reports** — :func:`render_html` emits one self-contained
-  page (inline CSS + SVG, zero network fetches): Pareto front, sweep
-  heatmap, per-stage profile breakdown, and the speedup trajectory.
+  page (inline CSS + SVG, zero network fetches): the performance /
+  energy-efficiency Pareto front (:func:`repro.core.explorer.pareto_front`,
+  the same front ``repro report --pareto`` prints), the sweep heatmap
+  and the per-stage profile breakdown.
 """
 
 from __future__ import annotations
 
 import html
-import json
 import math
 import os
 import platform
@@ -30,19 +24,17 @@ import time
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
+from ..core.explorer import pareto_front
+
 __all__ = [
     "SCHEMA_VERSION",
-    "append_trajectory",
-    "check_trajectory",
     "host_metadata",
-    "load_bench",
-    "load_trajectory",
     "render_html",
     "stamp_bench",
     "write_html",
 ]
 
-#: Version stamped onto BENCH artifacts and trajectory entries.
+#: Version stamped onto BENCH artifacts.
 SCHEMA_VERSION = 1
 
 
@@ -64,222 +56,9 @@ def stamp_bench(payload: dict) -> dict:
     return {**payload, "schema_version": SCHEMA_VERSION, "host": host_metadata()}
 
 
-def load_bench(path: Union[str, Path]) -> dict:
-    """Load and validate a BENCH artifact, tolerating unstamped files.
-
-    Returns the document with ``schema_version`` (0 for pre-stamp
-    files) and ``host`` (``None`` when absent) always present.
-
-    Raises:
-        ValueError: If the file is not a recognisable BENCH artifact.
-    """
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: BENCH artifact must be a JSON object")
-    if "workloads" not in data and "results" not in data:
-        raise ValueError(
-            f"{path}: neither a simulator ('workloads') nor a service "
-            f"('results') BENCH artifact"
-        )
-    version = data.get("schema_version", 0)
-    if not isinstance(version, int) or version < 0:
-        raise ValueError(f"{path}: bad schema_version {version!r}")
-    if version > SCHEMA_VERSION:
-        raise ValueError(
-            f"{path}: schema_version {version} is newer than this loader "
-            f"({SCHEMA_VERSION})"
-        )
-    return {**data, "schema_version": version, "host": data.get("host")}
-
-
-# ----------------------------------------------------------------------
-# the BENCH trajectory
-# ----------------------------------------------------------------------
-def load_trajectory(path: Union[str, Path]) -> dict:
-    """The trajectory document (empty but well-formed when missing)."""
-    path = Path(path)
-    if not path.is_file():
-        return {"schema_version": SCHEMA_VERSION, "entries": []}
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if isinstance(data, list):  # tolerate a bare entry list
-        data = {"schema_version": 0, "entries": data}
-    if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
-        raise ValueError(f"{path}: not a trajectory document")
-    return data
-
-
-def _geomean(values: Sequence[float]) -> Optional[float]:
-    positive = [v for v in values if v > 0]
-    if not positive:
-        return None
-    return math.exp(sum(math.log(v) for v in positive) / len(positive))
-
-
-def _sim_summary(sim: dict) -> dict:
-    speedups = {
-        name: float(row["speedup"])
-        for name, row in sorted(sim.get("workloads", {}).items())
-        if isinstance(row, dict) and "speedup" in row
-    }
-    return {"speedups": speedups, "geomean_speedup": _geomean(list(speedups.values()))}
-
-
-def _service_summary(service: dict) -> dict:
-    results = service.get("results", {})
-    streamed = results.get("warm_streamed_sweep", {})
-    sync = results.get("warm_sync_runs", {})
-    records = int(streamed.get("records", 0))
-    re_evaluations = int(streamed.get("re_evaluations", 0))
-    warm_hit_rate = (
-        (records - re_evaluations) / records if records > 0 else None
-    )
-    return {
-        "records_per_s": streamed.get("records_per_s"),
-        "re_evaluations": re_evaluations,
-        "requests_per_s": sync.get("requests_per_s"),
-        "duplicate_evaluations": int(sync.get("duplicate_evaluations", 0)),
-        "warm_hit_rate": warm_hit_rate,
-    }
-
-
-def _analytic_summary(analytic: dict) -> dict:
-    workloads = analytic.get("workloads", {})
-    errors = {
-        name: float(row["achieved_error"])
-        for name, row in sorted(workloads.items())
-        if isinstance(row, dict) and "achieved_error" in row
-    }
-    within = all(
-        bool(row.get("within_bound", True))
-        for row in workloads.values()
-        if isinstance(row, dict)
-    )
-    throughput = analytic.get("throughput", {})
-    return {
-        "achieved_errors": errors,
-        "max_achieved_error": max(errors.values()) if errors else None,
-        "all_within_bound": within,
-        "analytic_points_per_s": throughput.get("analytic_points_per_s"),
-        "speedup_vs_fast": throughput.get("speedup_vs_fast"),
-    }
-
-
-def append_trajectory(
-    path: Union[str, Path],
-    sim: Union[str, Path, dict, None] = None,
-    service: Union[str, Path, dict, None] = None,
-    analytic: Union[str, Path, dict, None] = None,
-    label: Optional[str] = None,
-    recorded_unix: Optional[int] = None,
-) -> dict:
-    """Fold one run of the BENCH emitters into the trajectory file.
-
-    ``sim``/``service``/``analytic`` are artifact paths or
-    already-loaded documents; any may be absent (the entry records what
-    ran).  Returns the appended entry.
-    """
-    if sim is not None and not isinstance(sim, dict):
-        sim = load_bench(sim)
-    if service is not None and not isinstance(service, dict):
-        service = load_bench(service)
-    if analytic is not None and not isinstance(analytic, dict):
-        analytic = load_bench(analytic)
-    if sim is None and service is None and analytic is None:
-        raise ValueError("append_trajectory needs at least one artifact")
-    entry: dict = {
-        "schema_version": SCHEMA_VERSION,
-        "recorded_unix": int(recorded_unix if recorded_unix is not None
-                             else time.time()),
-        "label": label,
-        "host": host_metadata(),
-    }
-    if sim is not None:
-        entry["sim"] = _sim_summary(sim)
-    if service is not None:
-        entry["service"] = _service_summary(service)
-    if analytic is not None:
-        entry["analytic"] = _analytic_summary(analytic)
-
-    path = Path(path)
-    trajectory = load_trajectory(path)
-    trajectory["schema_version"] = SCHEMA_VERSION
-    trajectory["entries"].append(entry)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(
-        json.dumps(trajectory, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    os.replace(tmp, path)
-    return entry
-
-
-def check_trajectory(trajectory: Union[str, Path, dict]) -> list:
-    """Structural regressions in the latest trajectory entry.
-
-    Returns a list of problem strings (empty = gate passes).  Checked:
-
-    * warm streamed sweep re-evaluated points (``re_evaluations > 0``),
-    * concurrent warm sync runs evaluated duplicates
-      (``duplicate_evaluations > 0``),
-    * warm cache hit rate dropped against the previous entry,
-    * an analytic benchmark whose calibration error escaped a declared
-      bound (``all_within_bound`` false — the tier-0 accuracy contract,
-      not a timing figure).
-
-    Timing figures (speedups, req/s, points/s) are deliberately *not*
-    checked — they are noise on shared runners; the trajectory chart
-    makes drift visible without blocking merges on it.
-    """
-    if not isinstance(trajectory, dict):
-        trajectory = load_trajectory(trajectory)
-    all_entries = trajectory.get("entries", [])
-    problems = []
-    analytic_entries = [e for e in all_entries if "analytic" in e]
-    if analytic_entries and analytic_entries[-1]["analytic"].get(
-        "all_within_bound"
-    ) is False:
-        problems.append(
-            "analytic benchmark reported a calibration outside its "
-            "declared error bound; tier-0 predictions must honour the "
-            "per-predictor accuracy contract"
-        )
-    entries = [e for e in all_entries if "service" in e]
-    if not entries:
-        return problems
-    latest = entries[-1]["service"]
-    re_evaluations = latest.get("re_evaluations") or 0
-    if re_evaluations > 0:
-        problems.append(
-            f"warm streamed sweep re-evaluated {re_evaluations} point(s); "
-            f"a warm resubmission must be pure cache"
-        )
-    duplicates = latest.get("duplicate_evaluations") or 0
-    if duplicates > 0:
-        problems.append(
-            f"concurrent warm sync runs performed {duplicates} duplicate "
-            f"evaluation(s); the shared cache must deduplicate them"
-        )
-    hit_rate = latest.get("warm_hit_rate")
-    if hit_rate is not None and len(entries) >= 2:
-        previous = entries[-2]["service"].get("warm_hit_rate")
-        if previous is not None and hit_rate < previous - 1e-9:
-            problems.append(
-                f"warm cache hit rate dropped: {hit_rate:.1%} after "
-                f"{previous:.1%} in the previous entry"
-            )
-    return problems
-
-
 # ----------------------------------------------------------------------
 # SVG primitives (everything below is rendering, no I/O)
 # ----------------------------------------------------------------------
-#: Categorical palette (validated order; first three are all-pairs safe).
-_SERIES_LIGHT = ("#2a78d6", "#eb6834", "#1baf7a", "#eda100",
-                 "#e87ba4", "#008300", "#4a3aa7", "#e34948")
-_SERIES_DARK = ("#3987e5", "#d95926", "#199e70", "#c98500",
-                "#d55181", "#008300", "#9085e9", "#e66767")
 #: Sequential blue ramp, light -> dark (shared by both modes).
 _RAMP = ("#cde2fb", "#b7d3f6", "#9ec5f4", "#86b6ef", "#6da7ec", "#5598e7",
          "#3987e5", "#2a78d6", "#256abf", "#1c5cab", "#184f95", "#104281",
@@ -354,7 +133,6 @@ th, td { text-align: right; padding: 4px 12px;
          font-variant-numeric: tabular-nums; }
 th { color: var(--ink-2); font-weight: 600; }
 th:first-child, td:first-child { text-align: left; }
-.ok { color: #0ca30c; } .bad { color: #d03b3b; }
 details summary { cursor: pointer; color: var(--ink-2); margin-top: 8px; }
 """
 
@@ -405,21 +183,11 @@ def _ok_records(records: Sequence[dict]) -> list:
     ]
 
 
-def _pareto_front(points: Sequence[dict]) -> list:
-    """Maximal (performance, energy_efficiency) subset, perf-sorted."""
-    ordered = sorted(
-        points,
-        key=lambda r: (-r["metrics"]["performance"],
-                       -r["metrics"]["energy_efficiency"]),
-    )
-    front = []
-    best_eff = -math.inf
-    for record in ordered:
-        eff = record["metrics"]["energy_efficiency"]
-        if eff > best_eff:
-            front.append(record)
-            best_eff = eff
-    return front
+#: The report's trade-off: performance vs energy efficiency, both maximized.
+_FRONT_OBJECTIVES = (
+    (lambda r: r["metrics"]["performance"], True),
+    (lambda r: r["metrics"]["energy_efficiency"], True),
+)
 
 
 def _record_label(record: dict) -> str:
@@ -435,7 +203,7 @@ def _pareto_svg(records: Sequence[dict]) -> str:
     points = _ok_records(records)
     if len(points) < 2:
         return "<p>not enough successful records for a Pareto view.</p>"
-    front = _pareto_front(points)
+    front = pareto_front(points, _FRONT_OBJECTIVES)  # performance-sorted
     front_keys = {r["key"] for r in front}
     xs = [r["metrics"]["performance"] for r in points]
     ys = [r["metrics"]["energy_efficiency"] for r in points]
@@ -503,17 +271,16 @@ def _pareto_svg(records: Sequence[dict]) -> str:
             f"efficiency {_fmt_num(m['energy_efficiency'])}/J, "
             f"EDP {_fmt_num(m['edp'])}</title></circle>"
         )
-    steps = sorted(front, key=lambda r: r["metrics"]["performance"])
     path = " ".join(
         f"{'M' if i == 0 else 'L'}{sx(r['metrics']['performance']):.1f},"
         f"{sy(r['metrics']['energy_efficiency']):.1f}"
-        for i, r in enumerate(steps)
+        for i, r in enumerate(front)
     )
     parts.append(
         f'<path d="{path}" fill="none" stroke="var(--series-1)" '
         f'stroke-width="2" stroke-opacity="0.7"/>'
     )
-    for record in steps:
+    for record in front:
         m = record["metrics"]
         parts.append(
             f'<circle cx="{sx(m["performance"]):.1f}" '
@@ -533,7 +300,7 @@ def _pareto_svg(records: Sequence[dict]) -> str:
         f"best EDP: {_esc(_record_label(best))}</text>"
     )
     parts.append("</svg>")
-    table = _front_table(steps)
+    table = _front_table(front)
     return "".join(parts) + _legend(
         [("Pareto front", "var(--series-1)"), ("dominated", "var(--ink-muted)")]
     ) + table
@@ -678,147 +445,6 @@ def _stage_svg(breakdown: dict) -> str:
     return "".join(parts)
 
 
-def _line_chart(
-    series: Sequence[tuple],
-    labels: Sequence[str],
-    y_label: str,
-    aria: str,
-) -> str:
-    """One-axis multi-series line chart; series = [(name, [values...])]."""
-    series = [(n, v) for n, v in series if any(x is not None for x in v)]
-    if not series or len(labels) < 2:
-        return "<p>not enough entries to draw a trajectory yet.</p>"
-    flat = [v for _, values in series for v in values if v is not None]
-    lo, hi = min(flat), max(flat)
-    if lo == hi:
-        lo, hi = lo - 0.5, hi + 0.5
-    pad = (hi - lo) * 0.08
-    lo, hi = lo - pad, hi + pad
-
-    width, height = 640, 320
-    left, right, top, bottom = 58, 16, 12, 42
-    plot_w, plot_h = width - left - right, height - top - bottom
-
-    def sx(i: int) -> float:
-        return left + i / (len(labels) - 1) * plot_w
-
-    def sy(v: float) -> float:
-        return top + plot_h - (v - lo) / (hi - lo) * plot_h
-
-    parts = [
-        f'<svg viewBox="0 0 {width} {height}" width="{width}" '
-        f'height="{height}" role="img" aria-label="{_esc(aria)}">'
-    ]
-    for k in range(5):
-        value = lo + (hi - lo) * k / 4
-        y = sy(value)
-        parts.append(
-            f'<line x1="{left}" y1="{y:.1f}" x2="{left + plot_w}" '
-            f'y2="{y:.1f}" stroke="var(--grid)" stroke-width="1"/>'
-            f'<text x="{left - 6}" y="{y + 4:.1f}" '
-            f'text-anchor="end">{_fmt_num(value)}</text>'
-        )
-    for i, label in enumerate(labels):
-        parts.append(
-            f'<text x="{sx(i):.1f}" y="{height - 22}" '
-            f'text-anchor="middle">{_esc(label)}</text>'
-        )
-    parts.append(
-        f'<line x1="{left}" y1="{top + plot_h}" x2="{left + plot_w}" '
-        f'y2="{top + plot_h}" stroke="var(--baseline)" stroke-width="1"/>'
-        f'<text x="{left + plot_w / 2:.0f}" y="{height - 6}" '
-        f'text-anchor="middle" class="lbl">{_esc(y_label)}</text>'
-    )
-    legend = []
-    for index, (name, values) in enumerate(series):
-        color = f"var(--series-{index % 8 + 1})"
-        legend.append((name, color))
-        segments = []
-        for i, value in enumerate(values):
-            if value is None:
-                continue
-            command = "L" if segments else "M"
-            segments.append(f"{command}{sx(i):.1f},{sy(value):.1f}")
-        parts.append(
-            f'<path d="{" ".join(segments)}" fill="none" stroke="{color}" '
-            f'stroke-width="2"/>'
-        )
-        for i, value in enumerate(values):
-            if value is None:
-                continue
-            parts.append(
-                f'<circle cx="{sx(i):.1f}" cy="{sy(value):.1f}" r="3.5" '
-                f'fill="{color}" stroke="var(--surface)" stroke-width="1.5">'
-                f"<title>{_esc(name)} @ {_esc(labels[i])}: "
-                f"{_fmt_num(value)}</title></circle>"
-            )
-    parts.append("</svg>")
-    return "".join(parts) + _legend(legend)
-
-
-def _trajectory_section(trajectory: dict) -> str:
-    entries = trajectory.get("entries", [])
-    if not entries:
-        return "<p>trajectory file has no entries yet.</p>"
-    labels = [
-        e.get("label") or time.strftime(
-            "%m-%d", time.gmtime(e.get("recorded_unix", 0))
-        )
-        for e in entries
-    ]
-    parts = []
-    workloads = sorted({
-        name for e in entries for name in e.get("sim", {}).get("speedups", {})
-    })
-    if workloads and len(entries) >= 2:
-        series = [
-            (name,
-             [e.get("sim", {}).get("speedups", {}).get(name) for e in entries])
-            for name in workloads
-        ]
-        parts.append(_line_chart(
-            series, labels, "fast-vs-reference simulator speedup (×)",
-            "simulator speedup trajectory",
-        ))
-    throughput = [
-        ("sync req/s",
-         [e.get("service", {}).get("requests_per_s") for e in entries]),
-        ("streamed records/s",
-         [e.get("service", {}).get("records_per_s") for e in entries]),
-    ]
-    if len(entries) >= 2 and any(
-        v is not None for _, vs in throughput for v in vs
-    ):
-        parts.append(_line_chart(
-            throughput, labels, "warm-cache service throughput (per second)",
-            "service throughput trajectory",
-        ))
-    rows = []
-    for label, entry in zip(labels, entries):
-        service = entry.get("service", {})
-        sim = entry.get("sim", {})
-        geomean = sim.get("geomean_speedup")
-        hit_rate = service.get("warm_hit_rate")
-        re_evals = service.get("re_evaluations")
-        duplicates = service.get("duplicate_evaluations")
-        structural_ok = (re_evals in (0, None)) and (duplicates in (0, None))
-        rows.append(
-            f"<tr><td>{_esc(label)}</td>"
-            f"<td>{'—' if geomean is None else f'{geomean:.2f}×'}</td>"
-            f"<td>{'—' if hit_rate is None else f'{hit_rate:.1%}'}</td>"
-            f"<td>{'—' if re_evals is None else re_evals}</td>"
-            f"<td>{'—' if duplicates is None else duplicates}</td>"
-            f"<td class=\"{'ok' if structural_ok else 'bad'}\">"
-            f"{'pass' if structural_ok else 'FAIL'}</td></tr>"
-        )
-    parts.append(
-        "<table><tr><th>entry</th><th>sim geomean</th>"
-        "<th>warm hit rate</th><th>re-evals</th><th>dup evals</th>"
-        "<th>structural</th></tr>" + "".join(rows) + "</table>"
-    )
-    return "".join(parts)
-
-
 # ----------------------------------------------------------------------
 # page assembly
 # ----------------------------------------------------------------------
@@ -828,7 +454,7 @@ def _tiles(records: Sequence[dict]) -> str:
     tiles = [("records", str(len(records))), ("ok", str(len(points))),
              ("failed", str(failed))]
     if points:
-        front = _pareto_front(points)
+        front = pareto_front(points, _FRONT_OBJECTIVES)
         best = min(points, key=lambda r: r["metrics"]["edp"])
         tiles.append(("on Pareto front", str(len(front))))
         tiles.append(("best EDP (J·s)", _fmt_num(best["metrics"]["edp"])))
@@ -842,15 +468,14 @@ def _tiles(records: Sequence[dict]) -> str:
 
 def render_html(
     records: Optional[Sequence[dict]] = None,
-    trajectory: Optional[dict] = None,
     stage_profile: Optional[dict] = None,
     title: str = "repro report",
 ) -> str:
     """One self-contained HTML report (inline CSS + SVG, no fetches).
 
     Every section is optional: pass sweep ``records`` for the Pareto
-    front and heatmap, a ``trajectory`` document for the BENCH charts,
-    and a :meth:`StageProfiler.breakdown` dict for the stage view.
+    front and heatmap, and a :meth:`StageProfiler.breakdown` dict for
+    the stage view.
     """
     sections = []
     if records:
@@ -865,15 +490,9 @@ def render_html(
         sections.append("<h2>Per-stage profile</h2><p class=\"sub\">where "
                         "evaluation wall-clock goes.</p>"
                         f'<div class="card">{_stage_svg(stage_profile)}</div>')
-    if trajectory:
-        sections.append("<h2>BENCH trajectory</h2><p class=\"sub\">speedups "
-                        "and throughput across PRs; structural gates "
-                        "below.</p>"
-                        f'<div class="card">{_trajectory_section(trajectory)}'
-                        "</div>")
     if not sections:
-        sections.append("<p>nothing to report: no records, trajectory, or "
-                        "profile supplied.</p>")
+        sections.append("<p>nothing to report: no records or profile "
+                        "supplied.</p>")
     generated = time.strftime("%Y-%m-%d %H:%M UTC", time.gmtime())
     host = host_metadata()
     return (
@@ -893,15 +512,14 @@ def render_html(
 def write_html(
     path: Union[str, Path],
     records: Optional[Sequence[dict]] = None,
-    trajectory: Optional[dict] = None,
     stage_profile: Optional[dict] = None,
     title: str = "repro report",
 ) -> Path:
     """Render and write a report; returns the path."""
     path = Path(path)
     path.write_text(
-        render_html(records=records, trajectory=trajectory,
-                    stage_profile=stage_profile, title=title),
+        render_html(records=records, stage_profile=stage_profile,
+                    title=title),
         encoding="utf-8",
     )
     return path

@@ -42,6 +42,12 @@ and objectives)::
             return self.random_batch(n)
 """
 
+from ..core.pareto import (
+    crowding_distances,
+    dominates,
+    non_dominated,
+    non_dominated_sort,
+)
 from .archive import ParetoArchive
 from .driver import (
     DEFAULT_OBJECTIVES,
@@ -50,12 +56,6 @@ from .driver import (
     SearchOutcome,
     SearchStats,
     resolve_objectives,
-)
-from .pareto import (
-    crowding_distances,
-    dominates,
-    non_dominated,
-    non_dominated_sort,
 )
 from .space import (
     Axis,

@@ -15,8 +15,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, Optional
 
+from ..core.pareto import non_dominated
 from ..sweep.store import ResultStore
-from .pareto import non_dominated
 
 
 class ParetoArchive:

@@ -20,12 +20,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 from ..api.registry import OBJECTIVES
+from ..core.pareto import non_dominated
 from ..engine.core import Engine
 from ..sweep.cache import ResultCache
 from ..sweep.spec import Job
 from ..sweep.store import ResultStore, record_to_point
 from .archive import ParetoArchive
-from .pareto import non_dominated
 from .space import SearchSpace
 from .strategies import STRATEGIES, Strategy
 

@@ -40,7 +40,7 @@ import random
 from typing import Optional, Sequence
 
 from ..api.registry import Registry
-from .pareto import crowding_distances, non_dominated_sort
+from ..core.pareto import crowding_distances, non_dominated_sort
 from .space import SearchSpace
 
 #: Strategy registry: name -> Strategy subclass.

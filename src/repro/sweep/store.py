@@ -97,15 +97,23 @@ class ResultStore:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
     def load(self) -> list[dict]:
-        """All records, in append order (empty if the file is missing)."""
+        """All records, in append order (empty if the file is missing).
+
+        A line that does not decode is skipped, as the cache's
+        :class:`~repro.sweep.cache.Journal` skips it: one torn append
+        from a killed run must not hide every other record.
+        """
         if not self.path.exists():
             return []
         records = []
-        with self.path.open("r", encoding="utf-8") as fh:
+        with self.path.open("r", encoding="utf-8", errors="replace") as fh:
             for line in fh:
                 line = line.strip()
                 if line:
-                    records.append(json.loads(line))
+                    try:
+                        records.append(json.loads(line))
+                    except ValueError:
+                        continue
         return records
 
     def latest(self) -> dict[str, dict]:

@@ -439,39 +439,6 @@ class TestCli:
                     "analytic_fallbacks", "calibration_entries"):
             assert key in stats
 
-    def test_trajectory_append_and_check_analytic(self, tmp_path, capsys):
-        bench = tmp_path / "BENCH_analytic.json"
-        trajectory = tmp_path / "BENCH_trajectory.json"
-        bench.write_text(json.dumps({
-            "workloads": {
-                "dotp": {"error_bound": 0.05, "achieved_error": 0.013,
-                         "within_bound": True},
-            },
-            "throughput": {"analytic_points_per_s": 9000.0,
-                           "fast_points_per_s": 15.0,
-                           "speedup_vs_fast": 600.0},
-        }))
-        assert main(["trajectory", "append", "--file", str(trajectory),
-                     "--analytic", str(bench), "--label", "t0"]) == 0
-        assert "analytic" in capsys.readouterr().out
-        assert main(["trajectory", "check", "--file", str(trajectory)]) == 0
-
-        bench.write_text(json.dumps({
-            "workloads": {
-                "dotp": {"error_bound": 0.05, "achieved_error": 0.2,
-                         "within_bound": False},
-            },
-        }))
-        assert main(["trajectory", "append", "--file", str(trajectory),
-                     "--analytic", str(bench), "--label", "t1"]) == 0
-        capsys.readouterr()
-        assert main(["trajectory", "check", "--file", str(trajectory)]) == 1
-        assert "error bound" in capsys.readouterr().err
-
-    def test_trajectory_append_requires_an_artifact(self, capsys):
-        assert main(["trajectory", "append"]) == 2
-        assert "--analytic" in capsys.readouterr().err
-
     def test_sweep_with_analytic_sim_engine_resumes(self, tmp_path, capsys):
         argv = ["sweep", "--capacities", "1", "--flows", "2D",
                 "--bandwidths", "8,32", "--matrix-dims", "768",

@@ -605,6 +605,37 @@ class TestReportCommand:
         assert main(["report", str(store_path), "--pareto"]) == 0
         assert "Pareto front" in capsys.readouterr().out
 
+    def test_each_design_is_reported_once(self, capsys, store_path,
+                                          tmp_path):
+        # A store two runs appended to holds every record twice.
+        store_path.write_text(store_path.read_text() * 2)
+
+        def labels(out):
+            rows = out.splitlines()[2:]  # title, column header
+            return [row.split()[0] for row in rows]
+
+        capsys.readouterr()
+        assert main(["report", str(store_path), "--pareto"]) == 0
+        out = capsys.readouterr().out
+        assert "of 8 points" in out
+        assert labels(out) and len(set(labels(out))) == len(labels(out))
+        assert main(["report", str(store_path), "--objective", "edp",
+                     "--top", "20"]) == 0
+        out = capsys.readouterr().out
+        assert "top edp of 8 points" in out
+        assert len(labels(out)) == len(set(labels(out))) == 8
+        html = tmp_path / "report.html"
+        assert main(["report", str(store_path), "--html", str(html)]) == 0
+        assert ('<div class="v">8</div><div class="k">records</div>'
+                in html.read_text(encoding="utf-8"))
+
+    def test_torn_last_line_is_skipped(self, capsys, store_path):
+        with store_path.open("a", encoding="utf-8") as fh:
+            fh.write('{"key": "zz", "sea')  # a killed run's torn append
+        capsys.readouterr()
+        assert main(["report", str(store_path), "--objective", "edp"]) == 0
+        assert "top edp of 8 points" in capsys.readouterr().out
+
     def test_unknown_objective_raises(self, capsys, store_path):
         capsys.readouterr()
         assert main(["report", str(store_path), "--objective", "beauty"]) == 2

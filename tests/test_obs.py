@@ -1,4 +1,4 @@
-"""Tests for repro.obs: tracing, metrics, profiling, reports, the gate.
+"""Tests for repro.obs: tracing, metrics, profiling, reports.
 
 The load-bearing properties:
 
@@ -8,8 +8,7 @@ The load-bearing properties:
   boundary (one trace id end to end);
 * metrics are get-or-create by name, kind-collision-safe, and export
   identically over ``GET /v1/metrics`` (JSON and Prometheus text);
-* BENCH artifacts are schema-stamped, the trajectory file accumulates
-  them, and its structural gate fails on cache regressions only;
+* BENCH artifacts are schema-stamped with the host they ran on;
 * the HTML report is fully self-contained (no network fetches).
 """
 
@@ -23,15 +22,7 @@ from repro.api import Scenario
 from repro.engine import Engine
 from repro.obs import metrics, profile, trace
 from repro.obs.profile import StageProfiler
-from repro.obs.report import (
-    append_trajectory,
-    check_trajectory,
-    load_bench,
-    load_trajectory,
-    render_html,
-    stamp_bench,
-    write_html,
-)
+from repro.obs.report import render_html, stamp_bench, write_html
 
 
 @pytest.fixture()
@@ -333,110 +324,11 @@ class TestServiceObservability:
 
 
 class TestBenchStamp:
-    def test_stamp_and_load_round_trip(self, tmp_path):
-        path = tmp_path / "BENCH_sim.json"
-        payload = stamp_bench({"workloads": {"matmul": {"speedup": 2.0}}})
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        loaded = load_bench(path)
-        assert loaded["schema_version"] == 1
-        assert loaded["host"]["python"]
-        assert loaded["workloads"]["matmul"]["speedup"] == 2.0
-
-    def test_loader_tolerates_unstamped_artifacts(self, tmp_path):
-        path = tmp_path / "old.json"
-        path.write_text(json.dumps({"results": {}}), encoding="utf-8")
-        loaded = load_bench(path)
-        assert loaded["schema_version"] == 0
-        assert loaded["host"] is None
-
-    def test_loader_rejects_foreign_json(self, tmp_path):
-        path = tmp_path / "x.json"
-        path.write_text(json.dumps({"foo": 1}), encoding="utf-8")
-        with pytest.raises(ValueError):
-            load_bench(path)
-
-    def test_loader_rejects_newer_schema(self, tmp_path):
-        path = tmp_path / "x.json"
-        path.write_text(
-            json.dumps({"workloads": {}, "schema_version": 99}),
-            encoding="utf-8",
-        )
-        with pytest.raises(ValueError):
-            load_bench(path)
-
-    def test_checked_in_artifacts_still_load(self):
-        from pathlib import Path
-
-        for name in ("BENCH_sim.json", "BENCH_service.json"):
-            path = Path(__file__).resolve().parent.parent / name
-            if path.is_file():
-                assert "schema_version" in load_bench(path)
-
-
-def _service_doc(re_evals=0, duplicates=0, hit_rate_records=56):
-    return {
-        "results": {
-            "warm_streamed_sweep": {
-                "records": hit_rate_records,
-                "records_per_s": 100.0,
-                "re_evaluations": re_evals,
-            },
-            "warm_sync_runs": {
-                "requests_per_s": 1000.0,
-                "duplicate_evaluations": duplicates,
-            },
-        }
-    }
-
-
-class TestTrajectoryGate:
-    def test_append_accumulates_and_stamps(self, tmp_path):
-        path = tmp_path / "traj.json"
-        entry = append_trajectory(
-            path,
-            sim={"workloads": {"matmul": {"speedup": 2.0}}},
-            service=_service_doc(),
-            label="abc1234",
-        )
-        assert entry["label"] == "abc1234"
-        assert entry["sim"]["geomean_speedup"] == pytest.approx(2.0)
-        assert entry["service"]["warm_hit_rate"] == 1.0
-        append_trajectory(path, service=_service_doc(), label="def5678")
-        doc = load_trajectory(path)
-        assert [e["label"] for e in doc["entries"]] == ["abc1234", "def5678"]
-
-    def test_missing_trajectory_is_empty_and_passes(self, tmp_path):
-        doc = load_trajectory(tmp_path / "absent.json")
-        assert doc["entries"] == []
-        assert check_trajectory(doc) == []
-
-    def test_gate_fails_on_structural_regressions(self, tmp_path):
-        path = tmp_path / "traj.json"
-        append_trajectory(path, service=_service_doc(re_evals=3))
-        problems = check_trajectory(path)
-        assert len(problems) == 1 and "re-evaluated 3" in problems[0]
-        append_trajectory(path, service=_service_doc(duplicates=2))
-        assert any("duplicate" in p for p in check_trajectory(path))
-
-    def test_gate_fails_on_hit_rate_drop_only(self, tmp_path):
-        path = tmp_path / "traj.json"
-        append_trajectory(path, service=_service_doc())
-        assert check_trajectory(path) == []  # 100% warm hits: clean
-        # timing change alone must NOT fail the gate
-        slower = _service_doc()
-        slower["results"]["warm_streamed_sweep"]["records_per_s"] = 1.0
-        append_trajectory(path, service=slower)
-        assert check_trajectory(path) == []
-        # a genuine hit-rate drop must
-        drop = _service_doc(re_evals=0)
-        drop["results"]["warm_streamed_sweep"]["records"] = 56
-        drop["results"]["warm_streamed_sweep"]["re_evaluations"] = 0
-        entry = append_trajectory(path, service=drop)
-        assert entry["service"]["warm_hit_rate"] == 1.0
-        worse = _service_doc(re_evals=7)
-        append_trajectory(path, service=worse)
-        problems = check_trajectory(path)
-        assert any("hit rate dropped" in p for p in problems)
+    def test_stamp_and_load_round_trip(self):
+        stamped = stamp_bench({"workloads": {"matmul": {"speedup": 2.0}}})
+        assert stamped["schema_version"] == 1
+        assert stamped["host"]["python"]
+        assert stamped["workloads"]["matmul"]["speedup"] == 2.0
 
 
 class TestHtmlReport:
@@ -445,29 +337,15 @@ class TestHtmlReport:
         return Engine(backend="serial").run(_scenarios(6)).records
 
     def test_report_is_self_contained(self, records, tmp_path):
-        traj = {"schema_version": 1, "entries": [
-            {"label": "a", "recorded_unix": 1,
-             "sim": {"speedups": {"matmul": 2.0}, "geomean_speedup": 2.0},
-             "service": {"records_per_s": 10.0, "re_evaluations": 0,
-                         "requests_per_s": 100.0,
-                         "duplicate_evaluations": 0, "warm_hit_rate": 1.0}},
-            {"label": "b", "recorded_unix": 2,
-             "sim": {"speedups": {"matmul": 2.2}, "geomean_speedup": 2.2},
-             "service": {"records_per_s": 12.0, "re_evaluations": 0,
-                         "requests_per_s": 110.0,
-                         "duplicate_evaluations": 0, "warm_hit_rate": 1.0}},
-        ]}
         profiler = StageProfiler()
         profiler("implement", 0.3)
         profiler("cycles", 0.1)
-        html = render_html(records, trajectory=traj,
-                           stage_profile=profiler.breakdown(),
+        html = render_html(records, stage_profile=profiler.breakdown(),
                            title="t")
-        # all four views render
+        # all three views render
         assert "Pareto front" in html
         assert "Sweep heatmap" in html
         assert "Per-stage profile" in html
-        assert "BENCH trajectory" in html
         # zero network fetches: no external URLs, scripts, or imports
         assert "http://" not in html and "https://" not in html
         assert "<script" not in html and "@import" not in html
@@ -476,7 +354,7 @@ class TestHtmlReport:
         assert "legend" in html and "<table" in html
 
     def test_sections_are_optional(self):
-        html = render_html([], trajectory=None, stage_profile=None)
+        html = render_html([], stage_profile=None)
         assert "Pareto front" not in html
         assert "<html" in html  # still a complete document
 
@@ -485,6 +363,18 @@ class TestHtmlReport:
         text = out.read_text(encoding="utf-8")
         assert text.startswith("<!DOCTYPE html>")
         assert "prefers-color-scheme: dark" in text  # dark mode is designed
+
+    def test_front_tile_keeps_exact_ties(self, records):
+        # Two designs with equal metrics dominate neither each other: the
+        # tile counts both, as the text report's front does.
+        from repro.sweep import pareto_pairs
+
+        best = min(records, key=lambda r: r["metrics"]["edp"])
+        tied = [best, {**best, "key": "tied-" + best["key"]}]
+        assert len(pareto_pairs(tied)) == 2
+        html = render_html(tied)
+        assert ('<div class="v">2</div><div class="k">on Pareto front</div>'
+                in html)
 
 
 class TestCli:
@@ -508,29 +398,19 @@ class TestCli:
         assert main(["report", "--html", str(tmp_path / "x.html")]) == 2
         assert main(["report"]) == 2
 
-    def test_trajectory_cli_append_then_check(self, tmp_path, monkeypatch,
-                                              capsys):
+    def test_trajectory_commands_are_gone(self, tmp_path, capsys):
         from repro.__main__ import main
 
-        sim = tmp_path / "BENCH_sim.json"
-        sim.write_text(json.dumps(stamp_bench(
-            {"workloads": {"matmul": {"speedup": 2.0}}}
-        )), encoding="utf-8")
-        svc = tmp_path / "BENCH_service.json"
-        svc.write_text(json.dumps(_service_doc()), encoding="utf-8")
-        traj = tmp_path / "traj.json"
-        assert main(["trajectory", "append", "--file", str(traj),
-                     "--sim", str(sim), "--service", str(svc),
-                     "--label", "abc"]) == 0
-        assert main(["trajectory", "check", "--file", str(traj)]) == 0
-        bad = tmp_path / "BENCH_bad.json"
-        bad.write_text(json.dumps(_service_doc(re_evals=1)),
-                       encoding="utf-8")
-        assert main(["trajectory", "append", "--file", str(traj),
-                     "--service", str(bad)]) == 0
-        assert main(["trajectory", "check", "--file", str(traj)]) == 1
-        err = capsys.readouterr().err
-        assert "REGRESSION" in err
+        for argv in (
+            ["trajectory", "check"],
+            ["report", str(tmp_path / "r.jsonl"), "--html",
+             str(tmp_path / "r.html"), "--trajectory",
+             str(tmp_path / "t.json")],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        assert not (tmp_path / "r.html").exists()
 
     def test_metrics_cli_against_live_service(self, tmp_path, capsys):
         from repro.__main__ import main

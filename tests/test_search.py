@@ -300,6 +300,17 @@ class TestParetoArchive:
         assert two
         assert all(len(e["search"]["costs"]) == 2 for e in two)
 
+    def test_torn_last_line_is_skipped(self, tmp_path):
+        path = tmp_path / "archive.jsonl"
+        Searcher(paper_space(), strategy="random", budget=4,
+                 archive=ParetoArchive(path)).run()
+        before = ParetoArchive(path)
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write('{"key": "zz", "sea')  # a killed run's torn append
+        reloaded = ParetoArchive(path)
+        assert len(reloaded) == len(before) == 4
+        assert reloaded.front() == before.front()
+
     def test_search_metadata_recorded(self):
         archive = ParetoArchive()
         Searcher(paper_space(), strategy="random", budget=4,

@@ -295,6 +295,17 @@ class TestRecords:
             record_to_point({"status": "error", "job": {}})
 
 
+class TestResultStore:
+    def test_torn_last_line_is_skipped(self, tmp_path):
+        store = ResultStore(tmp_path / "results.jsonl")
+        store.append({"key": "a", "status": "ok"})
+        store.append({"key": "b", "status": "error"})
+        with store.path.open("a", encoding="utf-8") as fh:
+            fh.write('{"key": "zz", "sea')  # a killed run's torn append
+        assert [r["key"] for r in store.load()] == ["a", "b"]
+        assert sorted(store.latest()) == ["a", "b"]
+
+
 class TestReport:
     @pytest.fixture(scope="class")
     def records(self):
