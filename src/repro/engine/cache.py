@@ -401,12 +401,14 @@ class StageCache:
         return result
 
     def put_physical(self, key: str, result) -> None:
-        """Memoize a freshly-implemented physical stage result."""
-        from dataclasses import asdict
+        """Memoize a freshly-implemented physical stage result.
 
+        A :class:`GroupResult` is flat, so its field dict is its
+        ``dataclasses.asdict`` without the recursive copy.
+        """
         self.physical_evals += 1
         self._physical[key] = result
-        self._append("physical", key, asdict(result))
+        self._append("physical", key, dict(vars(result)))
 
     # -- cycles stage ---------------------------------------------------
     def get_cycles(self, key: str) -> Optional[float]:

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from ..api.registry import register_flow
 from ..core.config import Flow, MemPoolConfig
+from ..core.metrics import GroupResult
 from ..core.partition import TilePartition
 from .calibration import Calibration, DEFAULT_CALIBRATION
 from .floorplan import plan_2d_tile
-from .flowbase import GroupImplementation, TileImplementation, implement_group_from_tile
+from .flowbase import GroupImplementation, TileImplementation, implement_group_from_tile, signoff_group
 from .netlist import build_tile_netlist
 from .technology import DEFAULT_TECHNOLOGY, Technology
 
@@ -76,6 +77,11 @@ def implement_group_2d(
 
 
 @register_flow("2D")
-def scenario_flow_2d(scenario) -> GroupImplementation:
-    """Flow plugin: implement a scenario's group with the 2D flow."""
-    return implement_group_2d(scenario.to_config(flow=Flow.FLOW_2D))
+def scenario_flow_2d(scenario) -> GroupResult:
+    """Flow plugin: a scenario's group result with the 2D flow.
+
+    Equals ``implement_group_2d(scenario.to_config()).to_group_result()``;
+    the layout is shared across frequency targets (:func:`signoff_group`).
+    """
+    config = scenario.to_config(flow=Flow.FLOW_2D)
+    return signoff_group(config, implement_group_2d)

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from ..api.registry import register_flow
 from ..core.config import Flow, MemPoolConfig
+from ..core.metrics import GroupResult
 from ..core.partition import TilePartition, select_partition
 from .calibration import Calibration, DEFAULT_CALIBRATION
 from .floorplan import MacroArray, best_macro_array, memory_die_packing, plan_3d_tile
-from .flowbase import GroupImplementation, TileImplementation, implement_group_from_tile
+from .flowbase import GroupImplementation, TileImplementation, implement_group_from_tile, signoff_group
 from .netlist import TileNetlist, build_tile_netlist
 from .technology import DEFAULT_TECHNOLOGY, Technology
 
@@ -121,6 +122,11 @@ def implement_group(
 
 
 @register_flow("3D")
-def scenario_flow_3d(scenario) -> GroupImplementation:
-    """Flow plugin: implement a scenario's group with the Macro-3D flow."""
-    return implement_group_3d(scenario.to_config(flow=Flow.FLOW_3D))
+def scenario_flow_3d(scenario) -> GroupResult:
+    """Flow plugin: a scenario's group result with the Macro-3D flow.
+
+    Equals ``implement_group_3d(scenario.to_config()).to_group_result()``;
+    the layout is shared across frequency targets (:func:`signoff_group`).
+    """
+    config = scenario.to_config(flow=Flow.FLOW_3D)
+    return signoff_group(config, implement_group_3d)

@@ -6,11 +6,18 @@ abstracted into blackboxes for the group implementation.  The flow
 drivers in :mod:`repro.physical.flow2d` and :mod:`repro.physical.flow3d`
 specialize the BEOL stack and the die partitioning; everything else —
 placement, wire length, congestion, buffering, timing, power — is shared.
+
+Only the signoff slack population reads the frequency target, so the
+flow plugins share each group layout across targets within a process
+(:func:`signoff_group`): a (flow, capacity, arch) instance is implemented
+once, at the paper's 1 GHz target, and a new target re-signs-off TNS and
+the failing paths on the memoized achieved period.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 
 from ..core.config import MemPoolConfig
 from ..core.metrics import GroupResult
@@ -24,7 +31,7 @@ from .netlist import GroupNetlist, TileNetlist, build_group_netlist
 from .placement import GroupPlacement, place_group
 from .power import PowerReport, analyze_power
 from .technology import DEFAULT_TECHNOLOGY, MetalStack, Technology
-from .timing import TimingReport, analyze_timing
+from .timing import TimingReport, analyze_timing, slack_population
 from .wirelength import WirelengthReport, estimate_wirelength
 
 #: Tile-level timing: tiles are implemented against the 1 GHz target with
@@ -40,6 +47,11 @@ TILE_PERIOD_SRAM_SLOPE = 0.30
 #: multiple of the signal-via pitch.
 F2F_SIGNAL_REDUNDANCY = 2.0
 F2F_PG_PITCH_FACTOR = 1.5
+
+#: The implementation target the shared layouts are built against (the
+#: paper's uniform 1 GHz), and how many layouts a process keeps.
+LAYOUT_TARGET_MHZ = 1000.0
+LAYOUT_MEMO_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -281,3 +293,27 @@ def implement_group_from_tile(
         power=power,
         stack=stack,
     )
+
+
+@functools.lru_cache(maxsize=LAYOUT_MEMO_SIZE)
+def _layout(config: MemPoolConfig, implement) -> tuple[GroupResult, float, bool]:
+    """``implement(config)`` flattened, with its achieved period and 3D flag."""
+    impl = implement(config)
+    return impl.to_group_result(), impl.timing.period_ps, impl.tile.is_3d
+
+
+def signoff_group(config: MemPoolConfig, implement) -> GroupResult:
+    """``implement(config).to_group_result()``, sharing the layout across targets.
+
+    ``implement`` is a flow's ``implement_group_*``.  The layout of
+    ``config`` at :data:`LAYOUT_TARGET_MHZ` (the memo key, so flow,
+    capacity and arch are all in it) is implemented once per process;
+    only the signoff slack population is recomputed for ``config``'s
+    own target.
+    """
+    layout = replace(config, target_frequency_mhz=LAYOUT_TARGET_MHZ)
+    result, period_ps, is_3d = _layout(layout, implement)
+    tns, failing = slack_population(
+        period_ps, 1e6 / config.target_frequency_mhz, is_3d
+    )
+    return replace(result, total_negative_slack_ps=tns, failing_paths=failing)

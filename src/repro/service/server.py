@@ -40,7 +40,6 @@ standard library.
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import json
 import signal
 import threading
@@ -607,7 +606,8 @@ class ReproService:
             200,
             {
                 "records": outcome.records,
-                "stats": dataclasses.asdict(outcome.stats),
+                # EngineStats is flat: its field dict is its asdict().
+                "stats": dict(vars(outcome.stats)),
             },
         )
 

@@ -14,7 +14,8 @@ directory at once.  Records reach the file in single ``O_APPEND`` writes
 under an advisory ``flock`` on a ``.lock`` sidecar, after the tail other
 writers appended has been folded in — no torn lines, no duplicates — and
 a torn final line (a crash) is skipped on load while everything before
-it survives.  A :meth:`ResultCache.put` writes at once; inside an
+it survives, and the next append starts a new line after it.  A
+:meth:`ResultCache.put` writes at once; inside an
 :meth:`~repro.engine.Engine.run_many` batch the engine queues its
 records and memos and writes each queue as one append when the batch
 ends or is closed, and at least once a second while it streams.
@@ -113,7 +114,10 @@ class Journal:
       and is re-examined next time; lines that do not decode are skipped.
     * :meth:`append` is the locked read-check-append of a list of
       entries: one lock, one tail read, one :func:`atomic_append` for
-      the whole list.  When that write began exactly at the offset,
+      the whole list.  A file the tail read found ending in a fragment
+      (under the lock, always a torn write) gets a newline first, so
+      the fragment stays one skipped line instead of swallowing the
+      first appended one.  When that write began exactly at the offset,
       nothing came in between, so the offset moves past the lines
       without decoding them; otherwise (a racer's line, a torn
       fragment) the tail is parsed.  The stores' puts append one entry;
@@ -139,6 +143,7 @@ class Journal:
         self.decode = decode
         self.index: dict[str, object] = {}
         self.offset = 0
+        self.size = 0  # file size at the last tail read
         self._mutex = threading.Lock()  # in-process: service threads
         self._read_tail()
 
@@ -162,7 +167,8 @@ class Journal:
         try:
             size = os.stat(self.path).st_size
         except FileNotFoundError:
-            return 0
+            size = 0
+        self.size = size
         if size <= self.offset:
             return 0
         fd = os.open(self.path, os.O_RDONLY)
@@ -220,6 +226,8 @@ class Journal:
             if not lines:
                 return 0
             data = b"".join(lines)
+            if self.size > self.offset:  # the file ends in a fragment
+                data = b"\n" + data
             end = atomic_append(self.path, data)
             if end - len(data) == self.offset:
                 self.offset = end

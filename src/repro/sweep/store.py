@@ -11,11 +11,13 @@ dataclass properties stay the single source of truth.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 from ..api import scenario as _scenario
 from ..core.explorer import DesignPoint
 from ..core.metrics import KernelMetrics
+from .cache import encode_line
 from .spec import Job
 
 
@@ -92,9 +94,17 @@ class ResultStore:
         self.path.parent.mkdir(parents=True, exist_ok=True)
 
     def append(self, record: dict) -> None:
-        """Append one record."""
-        with self.path.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+        """Append one record on a line of its own.
+
+        A file ending in a fragment (a torn append from a killed run)
+        gets a newline first, so the record is not glued onto it.
+        """
+        line = encode_line(record)
+        with self.path.open("ab+") as fh:
+            end = fh.seek(0, os.SEEK_END)
+            if end and os.pread(fh.fileno(), 1, end - 1) != b"\n":
+                line = b"\n" + line
+            fh.write(line)
 
     def load(self) -> list[dict]:
         """All records, in append order (empty if the file is missing).

@@ -3,8 +3,9 @@
 Every store is a typed index over one journal, so each property below is
 checked through all three public store APIs: a put never decodes its own
 line, a racer's line that lands between the tail read and the write is
-still indexed, a torn fragment costs at most the line appended onto it,
-and a second instance adopts another writer's appends on ``refresh()``.
+still indexed, a torn fragment costs only itself (the next append
+starts a new line), and a second instance adopts another writer's
+appends on ``refresh()``.
 """
 
 import json
@@ -167,18 +168,18 @@ class TestJournalStores:
             fh.write(b'{"key": "torn-')
         fresh = adapter.cls(tmp_path)
         assert len(fresh) == 1  # fragment ignored
-        # The next append joins the fragment into one corrupt line, which
-        # every reader skips; the writer still indexes its own entry,
-        # and the append after it reaches every reader.
+        # The next append starts a new line: the fragment stays one
+        # corrupt line, which every reader skips, and both appends
+        # after it reach every reader.
         adapter.put(writer, 1)
         adapter.put(writer, 2)
         assert adapter.has(writer, 1) and adapter.has(writer, 2)
-        assert fresh.refresh() == 1
-        assert adapter.has(fresh, 2)
-        assert len(fresh) == 2
+        assert fresh.refresh() == 2
+        assert adapter.has(fresh, 1) and adapter.has(fresh, 2)
+        assert len(fresh) == 3
         reloaded = adapter.cls(tmp_path)
-        assert len(reloaded) == 2
-        assert adapter.has(reloaded, 0) and adapter.has(reloaded, 2)
+        assert len(reloaded) == 3
+        assert all(adapter.has(reloaded, i) for i in range(3))
 
     def test_refresh_adopts_another_instances_appends(
         self, adapter, tmp_path
@@ -192,6 +193,49 @@ class TestJournalStores:
         assert a.refresh() == 0  # idempotent, cheap
         adapter.put(a, 3)  # already present: adopted, not appended
         assert _data_file(adapter, tmp_path).read_text().count("\n") == 1
+
+
+class TestTornFragment:
+    """A killed run's torn final fragment costs only itself: the next
+    append starts a new line instead of being glued onto it."""
+
+    FRAGMENT = b'{"key": "zz", "sea'
+
+    def _tear(self, path):
+        with path.open("ab") as fh:
+            fh.write(self.FRAGMENT)
+
+    def test_result_cache_put_from_a_new_writer(self, tmp_path):
+        ResultCache(tmp_path).put(_Results.record(1))
+        self._tear(tmp_path / ResultCache.FILENAME)
+        writer = ResultCache(tmp_path)
+        writer.put(_Results.record(2))
+        assert sorted(writer.keys()) == ["r-1", "r-2"]
+        assert sorted(ResultCache(tmp_path).keys()) == ["r-1", "r-2"]
+        lines = (tmp_path / ResultCache.FILENAME).read_bytes().splitlines()
+        assert lines[1] == self.FRAGMENT
+
+    def test_stage_cache_physical_line_and_group_commit(self, tmp_path):
+        from repro.api import Pipeline, Scenario
+
+        result = Pipeline().implement(Scenario(capacity_mib=2, flow="3D"))
+        StageCache(tmp_path).put_physical("p-0", result)
+        self._tear(tmp_path / StageCache.FILENAME)
+        writer = StageCache(tmp_path)
+        writer.put_physical("p-1", result)
+        self._tear(tmp_path / StageCache.FILENAME)
+        # An engine batch's group commit: the queued lines go out as one
+        # append, which starts a new line too.
+        writer.open_batch()
+        writer.put_physical("p-2", result)
+        writer.put_cycles("c-3", 3.0)
+        writer.commit(close=True)
+        fresh = StageCache(tmp_path)
+        assert sorted(key for key, _ in fresh.items()) == [
+            "c-3", "p-0", "p-1", "p-2"
+        ]
+        assert all(fresh.get_physical(f"p-{i}") == result for i in range(3))
+        assert fresh.get_cycles("c-3") == 3.0
 
 
 class TestJournal:

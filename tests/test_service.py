@@ -1,5 +1,6 @@
 """The serving layer end to end: HTTP API, job table, client SDK."""
 
+import dataclasses
 import logging
 import os
 import re
@@ -105,6 +106,27 @@ class TestServiceEndToEnd:
             assert [r["key"] for r in first] == [r["key"] for r in second]
             stats = client.cache_stats()
             assert stats["entries"] == len(scenarios)
+
+    def test_sync_run_stats_are_the_engine_stats(self, tmp_path):
+        service = ReproService(port=0, cache_dir=str(tmp_path / "cache"))
+        outcomes = []
+        run_sync = service._run_sync
+
+        def recording_run_sync(*args):
+            outcomes.append(run_sync(*args))
+            return outcomes[-1]
+
+        service._run_sync = recording_run_sync
+        body = {"scenarios": [j.scenario().to_dict() for j in SPEC.jobs()],
+                "sync": True}
+        with service.run_in_thread() as url:
+            client = ServiceClient(url)
+            cold = client._request("POST", "/v1/runs", body)
+            warm = client._request("POST", "/v1/runs", body)
+        assert cold["stats"]["evaluated"] == warm["stats"]["cached"] == 4
+        assert len(outcomes) == 2
+        for response, outcome in zip((cold, warm), outcomes):
+            assert response["stats"] == dataclasses.asdict(outcome.stats)
 
     def test_search_job_streams_budgeted_records(self, tmp_path):
         service = ReproService(port=0, cache_dir=str(tmp_path / "cache"))

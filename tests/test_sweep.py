@@ -305,6 +305,17 @@ class TestResultStore:
         assert [r["key"] for r in store.load()] == ["a", "b"]
         assert sorted(store.latest()) == ["a", "b"]
 
+    def test_append_after_a_torn_line_starts_a_new_line(self, tmp_path):
+        store = ResultStore(tmp_path / "results.jsonl")
+        store.append({"key": "a", "status": "ok"})
+        with store.path.open("a", encoding="utf-8") as fh:
+            fh.write('{"key": "zz", "sea')  # a killed run's torn append
+        store.append({"key": "b", "status": "ok"})
+        store.append({"key": "c", "status": "ok"})
+        assert [r["key"] for r in ResultStore(store.path).load()] == [
+            "a", "b", "c"
+        ]
+
 
 class TestReport:
     @pytest.fixture(scope="class")
