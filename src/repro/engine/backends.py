@@ -68,7 +68,9 @@ class ExecutionBackend(Protocol):
     ``run`` yields one record per job, in any order, as evaluations
     complete.  Every record must come from :func:`run_one` (or preserve
     its contract): a ``point_to_record`` dict on success, a
-    ``failure_record`` dict on error — exceptions never escape.
+    ``failure_record`` dict on error — exceptions never escape.  Only
+    records cross process and wire boundaries, never what ``evaluate``
+    returned.
     """
 
     def run(
@@ -83,6 +85,12 @@ def run_one(
     trace_ctx: Optional[dict] = None,
 ) -> dict:
     """Evaluate one job, trapping any exception into a failure record.
+
+    ``evaluate(job)`` returns a :class:`~repro.api.RunResult` (the
+    engine's default), a :class:`~repro.core.explorer.DesignPoint`, or
+    any object with the metric attributes
+    :func:`~repro.sweep.store.point_to_record` reads; the record is
+    built from it here.
 
     ``trace_ctx`` re-parents this job's span when the evaluation runs
     on a thread the submitter's trace context cannot reach (pool

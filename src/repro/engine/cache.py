@@ -38,6 +38,7 @@ from pathlib import Path
 from typing import Optional
 
 from ..analysis import racecheck as _racecheck
+from ..api import scenario as _scenario
 from ..sweep.cache import Journal, ResultCache, _FileLock, encode_line
 from ..sweep.spec import Job
 
@@ -356,13 +357,12 @@ class StageCache:
         return self.journal.refresh()
 
     def _append(self, stage: str, key: str, value) -> None:
-        from ..api.scenario import CODE_MODEL_VERSION
-
         record = {
             "stage": stage,
             "key": key,
             "value": value,
-            "model_version": CODE_MODEL_VERSION,
+            # Read at call time, as the keys and the records read it.
+            "model_version": _scenario.CODE_MODEL_VERSION,
         }
         entry = (stage, value)
         if self._queue.offer(key, entry, record):
@@ -485,11 +485,11 @@ def stage_cache_for(root: str | Path) -> StageCache:
     which their bootstrap does run; the delta-based flush makes running
     both a no-op.
     """
-    from multiprocessing import util as mp_util
-
     key = str(root)
     cache = _STAGE_CACHES.get(key)
     if cache is None:
+        from multiprocessing import util as mp_util  # first use only
+
         cache = StageCache(root)
         _STAGE_CACHES[key] = cache
         atexit.register(cache.flush_stats)
@@ -663,8 +663,6 @@ def _record_version(record: Optional[dict]) -> str:
     recomputing the key from the stored job parameters — a match means
     the record addresses the *current* version (keys embed the version).
     """
-    from ..api.scenario import CODE_MODEL_VERSION
-
     if not record:
         return "unknown"
     version = record.get("model_version")
@@ -672,7 +670,7 @@ def _record_version(record: Optional[dict]) -> str:
         return str(version)
     try:
         if Job.from_params(record["job"]).key == record["key"]:
-            return CODE_MODEL_VERSION
+            return _scenario.CODE_MODEL_VERSION
     except Exception:
         pass
     return "unknown"
@@ -693,9 +691,7 @@ def cache_gc(
         atomically (temp file + rename), deduplicated by key.  A missing
         cache is a no-op — nothing is created.
     """
-    from ..api.scenario import CODE_MODEL_VERSION
-
-    keep = keep_version or CODE_MODEL_VERSION
+    keep = keep_version or _scenario.CODE_MODEL_VERSION
     cache = _open_existing(root)
     if cache is None:
         return 0, 0

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from pathlib import Path
@@ -49,6 +49,25 @@ ProgressCallback = Callable[[int, int, dict], None]
 COMMIT_INTERVAL_S = 1.0
 
 
+#: Bound of the per-process pipeline memo: one :class:`~repro.api.Pipeline`
+#: per (stage root, evaluation engine) an evaluation used lately.
+PIPELINE_MEMO_SIZE = 16
+
+
+@lru_cache(maxsize=PIPELINE_MEMO_SIZE)
+def _pipeline(stage_root: Optional[str], sim_engine: str):
+    """The process's pipeline for one stage root and evaluation engine.
+
+    A :class:`~repro.api.Pipeline` is stateless, so one instance serves
+    every thread (the thread backend, the service's workers); each pool
+    worker process has its own, as it has its own stage memo.
+    """
+    from ..api.pipeline import Pipeline  # lazy: ``import repro`` stays lean
+
+    cache = stage_cache_for(stage_root) if stage_root is not None else None
+    return Pipeline(stage_cache=cache, engine=sim_engine)
+
+
 def evaluate_job(
     job: Job, stage_root: Optional[str] = None, sim_engine: str = "fast"
 ):
@@ -57,7 +76,10 @@ def evaluate_job(
     Runs the job's adopted scenario through the ``repro.api`` pipeline
     (whatever its objective: the objective never reaches a metric), so
     the engine shares one evaluation path with every other consumer —
-    including workloads registered via ``@register_workload``.
+    including workloads registered via ``@register_workload``.  Returns
+    the pipeline's own :class:`~repro.api.RunResult`: the backends'
+    :func:`~repro.sweep.store.point_to_record` builds the record from
+    its eight metric attributes, and only records leave the process.
 
     Args:
         job: The design point to evaluate.
@@ -70,11 +92,7 @@ def evaluate_job(
         sim_engine: The pipeline's evaluation engine (``"fast"`` or
             ``"analytic"``), shipped to workers the same way.
     """
-    from ..api.pipeline import Pipeline  # local: keeps worker imports lazy
-
-    cache = stage_cache_for(stage_root) if stage_root is not None else None
-    pipeline = Pipeline(stage_cache=cache, engine=sim_engine)
-    return pipeline.run(job.scenario()).to_design_point()
+    return _pipeline(stage_root, sim_engine).run(job.scenario())
 
 
 #: Marks evaluate functions that accept the engine's ``stage_root`` and
@@ -143,8 +161,13 @@ class Engine:
         cache: Persistent tier — a :class:`ResultCache`, a ready
             :class:`TieredCache`, or ``None`` for in-memory-only caching.
         lru_size: Bound of the in-memory tier (0 disables it).
-        evaluate: Evaluation function (must be a picklable top-level
-            callable for process backends).
+        evaluate: Evaluation function ``evaluate(job)`` (must be a
+            picklable top-level callable for process backends).  It may
+            return any object with the eight metric attributes
+            :func:`~repro.sweep.store.point_to_record` reads — a
+            :class:`~repro.api.RunResult`, as the default
+            :func:`evaluate_job` does, or a
+            :class:`~repro.core.explorer.DesignPoint`.
         store: Optional append-only audit log receiving every record,
             cache hits included.
         on_result: Optional default progress callback, called as

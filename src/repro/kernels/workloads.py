@@ -21,6 +21,7 @@ from ..arch.cluster import MemPoolCluster
 from ..arch.isa import Program, ProgramBuilder
 from ..core.config import MemPoolConfig
 from ..simulator.engine import run_cluster
+from . import phases
 
 
 @dataclass(frozen=True)
@@ -590,9 +591,7 @@ def _verified_cycles(run: WorkloadRun) -> float:
 @register_workload("matmul")
 def matmul_workload(scenario) -> float:
     """Analytic phase-model cycles for the paper's blocked matmul."""
-    from .phases import matmul_cycles
-
-    return matmul_cycles(
+    return phases.matmul_cycles(
         scenario.tiling(), scenario.memory(), scenario.phase_params()
     ).total
 

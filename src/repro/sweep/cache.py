@@ -95,9 +95,15 @@ def atomic_append(path: str | Path, line: str | bytes) -> int:
         os.close(fd)
 
 
+#: The one sorted-key encoder behind every journal line: the same bytes
+#: as ``json.dumps(record, sort_keys=True)``, without building an encoder
+#: per line.
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
 def encode_line(record: dict) -> bytes:
     """The journal line of ``record``: sorted-key JSON and a newline."""
-    return (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
+    return (_encode(record) + "\n").encode("utf-8")
 
 
 class Journal:
@@ -112,6 +118,10 @@ class Journal:
       complete (newline-terminated) lines advance it: a trailing
       fragment may be an append in flight, or a torn write from a crash,
       and is re-examined next time; lines that do not decode are skipped.
+      A file another process replaced (its :meth:`rewrite`, which
+      ``repro cache gc`` runs) has a new inode, and one cut below the
+      offset is shorter: either is read again from the start, into the
+      same index dict, which the stores alias.
     * :meth:`append` is the locked read-check-append of a list of
       entries: one lock, one tail read, one :func:`atomic_append` for
       the whole list.  A file the tail read found ending in a fragment
@@ -144,6 +154,7 @@ class Journal:
         self.index: dict[str, object] = {}
         self.offset = 0
         self.size = 0  # file size at the last tail read
+        self.inode: Optional[int] = None  # of the file the offset is into
         self._mutex = threading.Lock()  # in-process: service threads
         self._read_tail()
 
@@ -165,26 +176,33 @@ class Journal:
         if self.path is None:
             return 0
         try:
-            size = os.stat(self.path).st_size
+            stat = os.stat(self.path)
         except FileNotFoundError:
-            size = 0
-        self.size = size
-        if size <= self.offset:
+            self.size = 0
             return 0
+        self.size = stat.st_size
+        if stat.st_ino == self.inode and stat.st_size == self.offset:
+            return 0  # nothing new: the one stat is the whole cost
         fd = os.open(self.path, os.O_RDONLY)
         try:
+            stat = os.fstat(fd)  # the file read below, even if replaced since
+            size = self.size = stat.st_size
+            # A new inode (where the platform has none, a file shorter
+            # than the offset) means the lines indexed so far are gone.
+            replaced = stat.st_ino != self.inode or size < self.offset
+            if replaced:
+                self.inode, self.offset = stat.st_ino, 0
             data = os.pread(fd, size - self.offset, self.offset)
         finally:
             os.close(fd)
-        end = data.rfind(b"\n")
-        if end < 0:
-            return 0
+        end = data.rfind(b"\n") + 1  # 0: no complete line yet
+        lines = {key: entry for _, key, entry in self._decoded(data[:end])}
         index = self.index
-        added = 0
-        for _, key, entry in self._decoded(data[: end + 1]):
-            added += key not in index
-            index[key] = entry
-        self.offset += end + 1
+        added = sum(key not in index for key in lines)
+        if replaced:
+            index.clear()
+        index.update(lines)
+        self.offset += end
         return added
 
     def refresh(self) -> int:
@@ -231,6 +249,8 @@ class Journal:
             end = atomic_append(self.path, data)
             if end - len(data) == self.offset:
                 self.offset = end
+                if self.inode is None:  # this write created the file
+                    self.inode = os.stat(self.path).st_ino
             else:
                 self._read_tail()
             index.update(staged)
@@ -242,7 +262,9 @@ class Journal:
         The read-filter-rename holds the append lock, so an append cannot
         land between the read and the rename and be erased; the index is
         rebuilt from the kept records.  Returns ``(kept, pruned)`` key
-        counts; a missing file is left missing.
+        counts; a missing file is left missing.  The new file's inode is
+        recorded, so this instance reads on from its end while other
+        readers see the replacement and re-read it.
         """
         with self._mutex, _FileLock(self.lockpath):
             try:
@@ -259,11 +281,12 @@ class Journal:
             tmp = self.path + ".tmp"
             with open(tmp, "wb") as fh:
                 fh.write(out)
+                inode = os.fstat(fh.fileno()).st_ino
             _racecheck.note_replace(self.path)
             os.replace(tmp, self.path)
             self.index.clear()
             self.index.update((k, entry) for k, (_, entry) in kept.items())
-            self.offset = len(out)
+            self.inode, self.offset = inode, len(out)
         return len(kept), len(latest) - len(kept)
 
 

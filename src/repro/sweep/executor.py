@@ -29,15 +29,16 @@ def evaluate_job(
 ) -> DesignPoint:
     """Evaluate one job (top-level and picklable: safe to ship to workers).
 
-    Runs the job's adopted scenario through the ``repro.api`` pipeline,
-    so the sweep engine shares one evaluation path with every other
-    consumer — including workloads registered via ``@register_workload``.
-    ``stage_root`` keys the per-process stage memo and ``sim_engine``
-    picks the evaluation tier (see :func:`repro.engine.core.evaluate_job`).
+    The legacy form of :func:`repro.engine.core.evaluate_job`: the same
+    evaluation, returned as a :class:`DesignPoint` (the engine's returns
+    the pipeline's :class:`~repro.api.RunResult`; both serialize to the
+    same record).  ``stage_root`` keys the per-process stage memo and
+    ``sim_engine`` picks the evaluation tier.
     """
     from ..engine.core import evaluate_job as _evaluate
 
-    return _evaluate(job, stage_root=stage_root, sim_engine=sim_engine)
+    result = _evaluate(job, stage_root=stage_root, sim_engine=sim_engine)
+    return result.to_design_point()
 
 
 evaluate_job.supports_stage_root = True  # type: ignore[attr-defined]

@@ -21,8 +21,14 @@ from .cache import encode_line
 from .spec import Job
 
 
-def point_to_record(job: Job, point: DesignPoint) -> dict:
-    """Serialize one successful evaluation."""
+def point_to_record(job: Job, point) -> dict:
+    """Serialize one successful evaluation.
+
+    ``point`` is any object with the eight metric attributes read below:
+    the pipeline's :class:`~repro.api.RunResult` (what the engine's
+    default evaluation returns) or a :class:`DesignPoint`.  Both carry
+    the same floats under the same names, so the record is the same.
+    """
     return {
         "key": job.key,
         "job": job.params(),

@@ -445,6 +445,110 @@ class TestPinnedKeyBytes:
         assert list(record["job"]) == list(expected)  # key order too
 
 
+#: Scenarios whose record lines are pinned below, by name: the paper's
+#: eight configurations at two targets, an arch variant, a simulated
+#: point, and a failure (dotp at twice the simulator's element limit).
+_PINNED_RECORD_SCENARIOS = {
+    **{
+        f"{config.name}@{target}": dict(
+            capacity_mib=config.capacity_mib, flow=config.flow.value,
+            target_frequency_mhz=target,
+        )
+        for target in (523.5, 1000.0)
+        for config in paper_configurations()
+    },
+    "banks_per_tile=8": dict(capacity_mib=4, flow="3D",
+                             arch={"banks_per_tile": 8}),
+    "dotp-16c-256": dict(capacity_mib=1, flow="2D", workload="dotp",
+                         matrix_dim=256, num_cores=16),
+    "dotp-past-limit": dict(capacity_mib=1, flow="2D", workload="dotp",
+                            matrix_dim=131072, num_cores=16),
+}
+
+#: sha256 of each pinned scenario's record line under CODE_MODEL_VERSION
+#: 2.31d79d701455.  Caches, stores and service clients hold these bytes.
+_PINNED_RECORDS = {
+    "MemPool-2D-1MiB@523.5": "fef0f2e5476c16931c030ba41cef10d5b2dc41f80a8edb926f5f1bbff4dc1f8b",
+    "MemPool-3D-1MiB@523.5": "6ea6501a8ab1a694d37cd89dd45e5cf431a9b52fc47d380c69c837dd3f771952",
+    "MemPool-2D-2MiB@523.5": "0887feec50ea17b7525393b048f91a29d26f519f3294689d3d470f407ded6946",
+    "MemPool-3D-2MiB@523.5": "33eb00bca253be2bf84d74155656ed265b488d11b12d72d75a06817eef7713cd",
+    "MemPool-2D-4MiB@523.5": "6581d0ad45143140c296d79cfc9291c7cd63e714db714aba003ac1f2fd2dcf3c",
+    "MemPool-3D-4MiB@523.5": "b5d569ff8bcfa0f0c514063bf9a6d4de818ab4fe08c4ebb0b59a1dfb4407bf00",
+    "MemPool-2D-8MiB@523.5": "e8dbc154f44696ac713623888ffdce545b2fce0552661d01171788e15d33714f",
+    "MemPool-3D-8MiB@523.5": "2ab95e338e742366c93f3bdbfffafd9bb95517964b2c15d17103a7511bebca6e",
+    "MemPool-2D-1MiB@1000.0": "137fcc2c6ed5d3d2ee7fe377d54f1a67939e85a032a26136a83309107fdf0829",
+    "MemPool-3D-1MiB@1000.0": "db360738d5d90c2916bbebe9957f6345e5c4bd43a1a3bb3cb3751a212f9c8d8f",
+    "MemPool-2D-2MiB@1000.0": "298b0f232658bb5503e3e8de3e61c4541666ecd189dc63d10f773c8c7ed2f5c3",
+    "MemPool-3D-2MiB@1000.0": "9c65bb69874ea8f9525a27774dce85382349b485a3bd4de8689372273b99449b",
+    "MemPool-2D-4MiB@1000.0": "af31bd23dabd38e98607020281b0c08000fa4c33ee1d92ecaf8ce02c59eea826",
+    "MemPool-3D-4MiB@1000.0": "7813da923fbc7e45141efa2ff4e4984b48ef69f74b58086898fa670014270003",
+    "MemPool-2D-8MiB@1000.0": "14a560869ff8fbabe5d7945274e38e8516d108d49eefe06998845c7b531ab2d7",
+    "MemPool-3D-8MiB@1000.0": "5023db22b08df251cdb138dfbd98713b91368e6ea326221c2fe8d99a8d7d3811",
+    "banks_per_tile=8": "355ed93cc1bb38cd3224c29e3bf2ca79427ef195f92a98a47597461995c380ee",
+    "dotp-16c-256": "b32257cc4c373c3a3903f1417d7ee7a279f70890b4f5e9c2c24f6e809e62aee7",
+    "dotp-past-limit": "cc0eaaf2f746fd10194d803b2790b2d588f6996b323a8e72ab54344b45da955a",
+}
+
+
+def _engine_record_line(scenario, stage_root=None):
+    """The journal line the engine writes for ``scenario``."""
+    from functools import partial
+
+    from repro.engine import evaluate_job
+    from repro.engine.backends import run_one
+    from repro.sweep import Job
+    from repro.sweep.cache import encode_line
+
+    evaluate = partial(evaluate_job, stage_root=stage_root)
+    return encode_line(run_one(evaluate, Job.from_scenario(scenario)))
+
+
+class TestPinnedRecordBytes:
+    """Existing caches and stores keep their meaning only while the
+    record bytes hold: each line is pinned by its sha256."""
+
+    @pytest.mark.parametrize("name", sorted(_PINNED_RECORD_SCENARIOS))
+    def test_record_line(self, name):
+        line = _engine_record_line(Scenario(**_PINNED_RECORD_SCENARIOS[name]))
+        status = json.loads(line)["status"]
+        assert status == ("error" if name == "dotp-past-limit" else "ok")
+        assert hashlib.sha256(line).hexdigest() == _PINNED_RECORDS[name]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        capacity=st.sampled_from([1, 2, 4, 8]),
+        flow=st.sampled_from(["2D", "3D"]),
+        bandwidth=st.floats(min_value=1e-3, max_value=1e6),
+        target=st.floats(min_value=1.0, max_value=5e3),
+        arch=st.one_of(
+            st.none(),
+            st.just({"banks_per_tile": 8}),
+            st.just({"cores_per_tile": 8}),
+            st.builds(lambda kge: {"core_kge": kge},
+                      st.floats(min_value=1.0, max_value=1e3)),
+        ),
+    )
+    def test_engine_line_equals_design_point_line(
+        self, capacity, flow, bandwidth, target, arch
+    ):
+        import tempfile
+
+        from repro.sweep import Job, point_to_record
+
+        scenario = Scenario(capacity_mib=capacity, flow=flow,
+                            bandwidth=bandwidth, target_frequency_mhz=target,
+                            arch=arch)
+        # The record as a DesignPoint serializes it, with a fresh encoder.
+        record = point_to_record(Job.from_scenario(scenario),
+                                 Pipeline().run(scenario).to_design_point())
+        expected = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
+        assert _engine_record_line(scenario) == expected
+        with tempfile.TemporaryDirectory() as root:
+            cold = _engine_record_line(scenario, stage_root=root)
+            warm = _engine_record_line(scenario, stage_root=root)
+        assert cold == warm == expected
+
+
 @st.composite
 def _public_scenarios(draw):
     """A valid scenario over the public axes, as constructor kwargs."""

@@ -329,6 +329,68 @@ class TestOneBuildPerPoint:
         assert performance.params() == edp.params()
 
 
+class TestOnePipelinePerEngine:
+    """The default evaluation goes from a point to its record in one
+    step: the process's one pipeline per (stage root, evaluation engine)
+    runs the point, and its ``RunResult`` is what the record is built
+    from."""
+
+    @staticmethod
+    def _grid(matrix_dim, target):
+        from repro.api import Scenario
+
+        return [
+            Scenario(capacity_mib=capacity, flow=flow, bandwidth=bandwidth,
+                     matrix_dim=matrix_dim, target_frequency_mhz=target)
+            for capacity in (1, 2, 4, 8)
+            for flow in ("2D", "3D")
+            for bandwidth in (4.0, 16.0, 64.0)
+        ]
+
+    def test_evaluate_job_returns_the_run_result(self):
+        from repro.api.pipeline import RunResult
+
+        assert isinstance(evaluate_job(Job(capacity_mib=2, flow="3D")),
+                          RunResult)
+
+    def test_one_pipeline_per_stage_root_and_engine(self, tmp_path):
+        from repro.engine.cache import stage_cache_for
+        from repro.engine.core import _pipeline
+
+        root = str(tmp_path)
+        pipeline = _pipeline(root, "fast")
+        assert _pipeline(root, "fast") is pipeline
+        assert pipeline.stage_cache is stage_cache_for(root)
+        assert _pipeline(root, "analytic") is not pipeline
+        assert _pipeline(root, "analytic").engine == "analytic"
+        assert _pipeline(None, "fast").stage_cache is None
+
+    def test_new_points_import_nothing(self, tmp_path, monkeypatch):
+        import builtins
+
+        engine = Engine(cache=ResultCache(tmp_path))
+        assert engine.run(self._grid(326400, 1000.0)).stats.evaluated == 24
+        # A new matrix size and a new target: new cycles memos, and a
+        # new physical stage for every layout.
+        second = self._grid(65280, 800.0)
+        before = engine.stage_counters()
+        imports = []
+        real_import = builtins.__import__
+
+        def counting_import(name, *args, **kwargs):
+            imports.append(name)
+            return real_import(name, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "__import__", counting_import)
+        outcome = engine.run(second)
+        monkeypatch.undo()
+        assert outcome.stats.evaluated == 24 and outcome.stats.failed == 0
+        after = engine.stage_counters()
+        assert after["physical_evals"] - before["physical_evals"] == 8
+        assert after["cycles_evals"] - before["cycles_evals"] == 12
+        assert imports == []
+
+
 class TestCacheMaintenance:
     def test_stats_counts_entries_bytes_and_hits(self, tmp_path):
         cache = ResultCache(tmp_path)

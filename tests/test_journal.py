@@ -9,6 +9,7 @@ appends on ``refresh()``.
 """
 
 import json
+import os
 
 import pytest
 
@@ -17,8 +18,9 @@ from repro.analytic.store import (
     CalibrationStore,
     calibration_key,
 )
+from repro.api import scenario as scenario_module
 from repro.api.scenario import CODE_MODEL_VERSION
-from repro.engine.cache import StageCache
+from repro.engine.cache import StageCache, cache_clear, cache_gc
 from repro.sweep import cache as cache_module
 from repro.sweep.cache import Journal, ResultCache, _FileLock, atomic_append
 
@@ -248,3 +250,124 @@ class TestJournal:
         journal = Journal(path, lambda record: (record["key"], record["v"]))
         assert journal.index == {"k": 5}
         assert journal.offset == path.stat().st_size
+
+
+def _old_record(i: int) -> dict:
+    return {**_Results.record(i), "key": f"old-{i}", "model_version": "old"}
+
+
+def _new_record(i: int) -> dict:
+    return {**_Results.record(i), "key": f"new-{i}",
+            "model_version": CODE_MODEL_VERSION}
+
+
+class _NoInodes:
+    """``os`` as the journal sees it where ``stat`` reports no inode."""
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+    @staticmethod
+    def _zeroed(st):
+        return os.stat_result([st.st_mode, 0, *list(st)[2:]])
+
+    def stat(self, path):
+        return self._zeroed(os.stat(path))
+
+    def fstat(self, fd):
+        return self._zeroed(os.fstat(fd))
+
+
+class TestReplacedJournal:
+    """A long-lived reader follows another process's ``repro cache gc``.
+
+    The gc rewrites the journal into a new file and renames it over the
+    old one.  The reader's offset points into the old file, so it must
+    notice the replacement (a new inode) and read the new file from the
+    start, into the index its store aliases; otherwise it keeps serving
+    pruned entries and, once the new file outgrows the old offset, reads
+    from the middle of a line.
+    """
+
+    def test_result_cache_reader(self, tmp_path):
+        writer = ResultCache(tmp_path)
+        for i in range(20):
+            writer.put(_old_record(i))
+        reader = ResultCache(tmp_path)
+        assert len(reader) == 20
+        assert cache_gc(tmp_path) == (0, 20)
+        gc_writer = ResultCache(tmp_path)
+        gc_writer.put(_new_record(1))
+        assert reader.refresh() == 1
+        assert reader._records is reader.journal.index  # refilled in place
+        assert sorted(reader.keys()) == ["new-1"]
+        assert reader.get("old-0") is None
+        assert reader.get("new-1") == _new_record(1)
+        for i in range(2, 40):  # the new file outgrows the old offset
+            gc_writer.put(_new_record(i))
+        assert reader.refresh() == 38
+        fresh = ResultCache(tmp_path)
+        assert len(fresh) == 39
+        assert sorted(reader.keys()) == sorted(fresh.keys())
+        assert all(reader.get(k) == fresh.get(k) for k in fresh.keys())
+
+    def test_stage_cache_reader(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(scenario_module, "CODE_MODEL_VERSION", "old")
+        writer = StageCache(tmp_path)
+        for i in range(20):
+            writer.put_cycles(f"old-{i}", float(i))
+        monkeypatch.undo()
+        reader = StageCache(tmp_path)
+        assert len(reader) == 20
+        cache_gc(tmp_path)  # prunes the 20 old memos
+        gc_writer = StageCache(tmp_path)
+        assert len(gc_writer) == 0
+        gc_writer.put_cycles("new-1", 1.0)
+        assert reader.refresh() == 1
+        assert reader._entries is reader.journal.index
+        assert reader.peek("old-0") is None
+        assert reader.get_cycles("new-1") == 1.0
+        for i in range(2, 40):
+            gc_writer.put_cycles(f"new-{i}", float(i))
+        assert reader.refresh() == 38
+        fresh = StageCache(tmp_path)
+        assert len(fresh) == 39
+        assert reader.items() == fresh.items()
+
+    def test_reader_after_cache_clear(self, tmp_path):
+        writer = ResultCache(tmp_path)
+        for i in range(20):
+            writer.put(_new_record(i))
+        reader = ResultCache(tmp_path)
+        assert cache_clear(tmp_path) == 20
+        ResultCache(tmp_path).put(_new_record(99))
+        assert reader.refresh() == 1
+        assert sorted(reader.keys()) == ["new-99"]
+
+    def test_unchanged_file_costs_one_stat(self, tmp_path, monkeypatch):
+        ResultCache(tmp_path).put(_new_record(0))
+        reader = ResultCache(tmp_path)
+        calls = []
+
+        class _CountingOS:
+            def __getattr__(self, name):
+                calls.append(name)
+                return getattr(os, name)
+
+        monkeypatch.setattr(cache_module, "os", _CountingOS())
+        assert reader.refresh() == 0
+        assert calls == ["stat"]
+
+    def test_platform_without_inodes_falls_back_to_size(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(cache_module, "os", _NoInodes())
+        writer = ResultCache(tmp_path)
+        for i in range(20):
+            writer.put(_old_record(i))
+        reader = ResultCache(tmp_path)
+        assert cache_gc(tmp_path) == (0, 20)
+        ResultCache(tmp_path).put(_new_record(1))
+        # Shorter than the reader's offset: read again from the start.
+        assert reader.refresh() == 1
+        assert sorted(reader.keys()) == ["new-1"]
