@@ -6,62 +6,25 @@ registry (the sixth registry in the stack) and report structured
 Dynamic side: :mod:`repro.analysis.racecheck`, a lock/append tracer the
 cache primitives call into when ``REPRO_RACE_CHECK=1``.
 
-Imports are lazy (module ``__getattr__``, same pattern as the top-level
-``repro`` package) so that ``repro.sweep.cache`` can import the
+Names and the ``racecheck`` submodule resolve lazily (PEP 562,
+:mod:`repro._lazy`): importing the package imports none of its
+submodules, and the first access of an exported name imports the one
+submodule that defines it.  So ``repro.sweep.cache`` can import the
 stdlib-only ``racecheck`` module without dragging the lint framework —
 and its registry seed — into every cache-touching process.
 """
 
-from __future__ import annotations
+from .._lazy import lazy_exports
 
-import importlib
-from typing import TYPE_CHECKING
-
-_EXPORTS = {
-    "Finding": ".findings",
-    "AnalysisReport": ".framework",
-    "BaseLint": ".framework",
-    "LINTS": ".framework",
-    "LintContext": ".framework",
-    "analyze_paths": ".framework",
-    "available_lints": ".framework",
-    "register_lint": ".framework",
-    "RaceError": ".racecheck",
-    "racecheck": ".racecheck",
-}
-
-__all__ = sorted(_EXPORTS)
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from . import racecheck  # noqa: F401
-    from .findings import Finding  # noqa: F401
-    from .framework import (  # noqa: F401
-        LINTS,
-        AnalysisReport,
-        BaseLint,
-        LintContext,
-        analyze_paths,
-        available_lints,
-        register_lint,
-    )
-    from .racecheck import RaceError  # noqa: F401
-
-
-def __getattr__(name: str):
-    try:
-        module_name = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    module = importlib.import_module(module_name, __name__)
-    if name == "racecheck":
-        value = module
-    else:
-        value = getattr(module, name)
-    globals()[name] = value
-    return value
-
-
-def __dir__(self=None):
-    return sorted(set(globals()) | set(__all__))
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "findings": ("Finding",),
+        "framework": (
+            "AnalysisReport", "BaseLint", "LINTS", "LintContext",
+            "analyze_paths", "available_lints", "register_lint",
+        ),
+        "racecheck": ("RaceError",),
+    },
+    submodules=("racecheck",),
+)

@@ -22,59 +22,27 @@ Batched evaluation (many scenarios, parallel backends, two-tier result
 caching) lives one layer up in :mod:`repro.engine`, which the explorer,
 sweep, search, and experiment layers all share.
 
-Attributes resolve lazily (PEP 562) so that modules which only need the
-dependency-free registries — the flow and kernel plugins themselves —
-can import them without pulling the whole evaluation stack.
+Names resolve lazily (PEP 562, :mod:`repro._lazy`): importing the
+package imports none of its submodules, and the first access of an
+exported name imports the one submodule that defines it.  So modules
+which only need the dependency-free registries — the flow and kernel
+plugins themselves — can import them without pulling the whole
+evaluation stack.
 """
 
-from __future__ import annotations
+from .._lazy import lazy_exports
 
-import importlib
-
-_EXPORTS = {
-    # scenario
-    "CODE_MODEL_VERSION": "scenario",
-    "Scenario": "scenario",
-    "arch_overrides": "scenario",
-    "paper_scenarios": "scenario",
-    "scenario_schema": "scenario",
-    # pipeline
-    "Pipeline": "pipeline",
-    "RunResult": "pipeline",
-    "run": "pipeline",
-    # registry
-    "FLOWS": "registry",
-    "OBJECTIVES": "registry",
-    "Registry": "registry",
-    "RegistryMapping": "registry",
-    "PREDICTORS": "registry",
-    "WORKLOADS": "registry",
-    "available_flows": "registry",
-    "available_objectives": "registry",
-    "available_predictors": "registry",
-    "available_workloads": "registry",
-    "get_flow": "registry",
-    "get_objective": "registry",
-    "get_predictor": "registry",
-    "get_workload": "registry",
-    "register_flow": "registry",
-    "register_objective": "registry",
-    "register_predictor": "registry",
-    "register_workload": "registry",
-}
-
-__all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name: str):
-    try:
-        module_name = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = getattr(importlib.import_module(f".{module_name}", __name__), name)
-    globals()[name] = value  # cache for subsequent lookups
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_EXPORTS))
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "scenario": (
+        "CODE_MODEL_VERSION", "Scenario", "arch_overrides", "paper_scenarios",
+        "scenario_schema",
+    ),
+    "pipeline": ("Pipeline", "RunResult", "run"),
+    "registry": (
+        "FLOWS", "OBJECTIVES", "PREDICTORS", "Registry", "RegistryMapping",
+        "WORKLOADS", "available_flows", "available_objectives",
+        "available_predictors", "available_workloads", "get_flow",
+        "get_objective", "get_predictor", "get_workload", "register_flow",
+        "register_objective", "register_predictor", "register_workload",
+    ),
+})

@@ -47,12 +47,6 @@ _DEFAULT_ARCH = ArchParams()
 #: so it stays a simulator choice (``run_cluster(engine=...)``).
 EVALUATION_ENGINES = ("fast", "analytic")
 
-#: Float fields the sign checks cannot bound: NaN compares false with
-#: everything, and infinity is positive.
-_FINITE_FIELDS = (
-    "bandwidth", "cpi_mac", "phase_overhead_cycles", "target_frequency_mhz"
-)
-
 
 def check_engine(engine: str) -> str:
     """``engine``, if it names one of :data:`EVALUATION_ENGINES`.
@@ -66,6 +60,18 @@ def check_engine(engine: str) -> str:
             f"pick from {EVALUATION_ENGINES}"
         )
     return engine
+
+
+def _auto_tiling(matrix_dim: int, capacity_mib: int, word_bytes: int) -> TilingPlan:
+    """The derived blocking plan: the paper's tile for a paper point,
+    the largest fitting tile otherwise."""
+    if (
+        matrix_dim == PAPER_MATRIX_DIM
+        and capacity_mib in TILE_SIZE_BY_CAPACITY
+        and word_bytes == 4
+    ):
+        return paper_tiling(capacity_mib)
+    return fit_tiling(matrix_dim, capacity_mib * (1 << 20), word_bytes=word_bytes)
 
 
 def arch_overrides(arch: ArchParams) -> Optional[dict]:
@@ -125,81 +131,107 @@ class Scenario:
 
     def __post_init__(self) -> None:
         # Normalize types so equal scenarios serialize (and hash) equally.
-        object.__setattr__(self, "capacity_mib", int(self.capacity_mib))
-        object.__setattr__(self, "flow", str(self.flow))
-        object.__setattr__(self, "bandwidth", float(self.bandwidth))
-        object.__setattr__(self, "matrix_dim", int(self.matrix_dim))
-        object.__setattr__(self, "word_bytes", int(self.word_bytes))
-        object.__setattr__(self, "num_cores", int(self.num_cores))
-        object.__setattr__(self, "cpi_mac", float(self.cpi_mac))
-        object.__setattr__(
-            self, "phase_overhead_cycles", float(self.phase_overhead_cycles)
-        )
-        object.__setattr__(self, "workload", str(self.workload))
-        object.__setattr__(self, "objective", str(self.objective))
-        object.__setattr__(
-            self, "target_frequency_mhz", float(self.target_frequency_mhz)
-        )
+        # Every check runs on the normalized locals, in a fixed order, and
+        # each normalized value is written once, into the field dict.
+        capacity_mib = int(self.capacity_mib)
+        flow = str(self.flow)
+        bandwidth = float(self.bandwidth)
+        matrix_dim = int(self.matrix_dim)
+        word_bytes = int(self.word_bytes)
+        num_cores = int(self.num_cores)
+        cpi_mac = float(self.cpi_mac)
+        phase_overhead_cycles = float(self.phase_overhead_cycles)
+        workload = str(self.workload)
+        objective = str(self.objective)
+        target_frequency_mhz = float(self.target_frequency_mhz)
 
-        for name in _FINITE_FIELDS:
-            value = getattr(self, name)
+        # The float fields the sign checks cannot bound: NaN compares
+        # false with everything, and infinity is positive.
+        for name, value in (
+            ("bandwidth", bandwidth),
+            ("cpi_mac", cpi_mac),
+            ("phase_overhead_cycles", phase_overhead_cycles),
+            ("target_frequency_mhz", target_frequency_mhz),
+        ):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.capacity_mib <= 0:
+        if capacity_mib <= 0:
             raise ValueError("SPM capacity must be positive")
-        if self.bandwidth <= 0:
+        if bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
-        if self.matrix_dim <= 0:
+        if matrix_dim <= 0:
             raise ValueError("matrix_dim must be positive")
-        if self.word_bytes <= 0:
+        if word_bytes <= 0:
             raise ValueError("word_bytes must be positive")
-        if self.num_cores <= 0:
+        if num_cores <= 0:
             raise ValueError("num_cores must be positive")
-        if self.cpi_mac <= 0:
+        if cpi_mac <= 0:
             raise ValueError("cpi_mac must be positive")
-        if self.phase_overhead_cycles < 0:
+        if phase_overhead_cycles < 0:
             raise ValueError("phase_overhead_cycles must be non-negative")
-        if self.target_frequency_mhz <= 0:
+        if target_frequency_mhz <= 0:
             raise ValueError("target frequency must be positive")
 
-        if self.arch is not None:
-            object.__setattr__(self, "arch", self._canonical_arch(self.arch))
-        if self.tile_size is not None:
-            tile = int(self.tile_size)
+        arch = self.arch
+        if arch is not None:
+            arch = self._canonical_arch(arch)
+        tile = self.tile_size
+        if tile is not None:
+            tile = int(tile)
             if tile <= 0:
                 raise ValueError("tile_size must be positive")
-            if self.matrix_dim % tile:
+            if matrix_dim % tile:
                 raise ValueError("tile_size must divide matrix_dim")
             # Canonicalize an explicit tile that matches the derived one
             # back to None, so "default" scenarios have one spelling.
             try:
-                if tile == self._auto_tiling().tile_size:
+                if tile == _auto_tiling(
+                    matrix_dim, capacity_mib, word_bytes
+                ).tile_size:
                     tile = None
             except ValueError:
                 pass
-            object.__setattr__(self, "tile_size", tile)
 
         # Canonicalize case only toward a registered name, so the builtin
         # "2d"/"3d" spellings fold to "2D"/"3D" while custom flows keep
         # the exact (possibly lowercase) name they registered under.
-        if self.flow not in FLOWS and self.flow.upper() in FLOWS:
-            object.__setattr__(self, "flow", self.flow.upper())
-        if self.flow not in FLOWS:
+        if flow not in FLOWS:
+            if flow.upper() not in FLOWS:
+                raise ValueError(
+                    f"unknown flow {flow!r}; pick from {sorted(FLOWS.names())}"
+                )
+            flow = flow.upper()
+        if workload not in WORKLOADS:
             raise ValueError(
-                f"unknown flow {self.flow!r}; pick from {sorted(FLOWS.names())}"
-            )
-        if self.workload not in WORKLOADS:
-            raise ValueError(
-                f"unknown workload {self.workload!r}; "
+                f"unknown workload {workload!r}; "
                 f"pick from {sorted(WORKLOADS.names())}"
             )
-        if self.objective not in OBJECTIVES:
+        if objective not in OBJECTIVES:
             raise ValueError(
-                f"unknown objective {self.objective!r}; "
+                f"unknown objective {objective!r}; "
                 f"pick from {sorted(OBJECTIVES.names())}"
             )
-        if self.flow in _ENUM_FLOWS:
-            self.to_config()  # surfaces capacity/bank/arch inconsistencies
+
+        vars(self).update(
+            capacity_mib=capacity_mib,
+            flow=flow,
+            bandwidth=bandwidth,
+            matrix_dim=matrix_dim,
+            tile_size=tile,
+            word_bytes=word_bytes,
+            num_cores=num_cores,
+            cpi_mac=cpi_mac,
+            phase_overhead_cycles=phase_overhead_cycles,
+            workload=workload,
+            objective=objective,
+            arch=arch,
+            target_frequency_mhz=target_frequency_mhz,
+        )
+        # The capacity must split evenly across the SPM banks, as
+        # MemPoolConfig requires; only a failing split builds the config,
+        # so the error keeps its message.
+        if flow in _ENUM_FLOWS and (capacity_mib << 20) % self.arch_params().num_banks:
+            self.to_config()
 
     def _canonical_arch(self, overrides: object) -> Optional[dict]:
         if not isinstance(overrides, dict):
@@ -245,19 +277,6 @@ class Scenario:
             target_frequency_mhz=self.target_frequency_mhz,
         )
 
-    def _auto_tiling(self) -> TilingPlan:
-        if (
-            self.matrix_dim == PAPER_MATRIX_DIM
-            and self.capacity_mib in TILE_SIZE_BY_CAPACITY
-            and self.word_bytes == 4
-        ):
-            return paper_tiling(self.capacity_mib)
-        return fit_tiling(
-            self.matrix_dim,
-            self.capacity_mib * (1 << 20),
-            word_bytes=self.word_bytes,
-        )
-
     def tiling(self) -> TilingPlan:
         """Blocking plan: explicit tile, the paper's, or the best fit."""
         if self.tile_size is not None:
@@ -266,7 +285,7 @@ class Scenario:
                 tile_size=self.tile_size,
                 word_bytes=self.word_bytes,
             )
-        return self._auto_tiling()
+        return _auto_tiling(self.matrix_dim, self.capacity_mib, self.word_bytes)
 
     def phase_params(self) -> PhaseModelParams:
         """Phase-model calibration for this scenario."""

@@ -1,18 +1,23 @@
-"""MemPool architecture substrate: cores, tiles, groups, cluster."""
+"""MemPool architecture substrate: cores, tiles, groups, cluster.
 
-from .cluster import Barrier, MemPoolCluster
-from .group import Group
-from .icache import InstructionCache
-from .isa import Instruction, Op, Program, ProgramBuilder
-from .memory_map import BankAddress, MemoryMap
-from .scoreboard import ScoreboardSnitchCore
-from .snitch import CoreState, CoreStats, SnitchCore
-from .spm import SPMBank, TileSPM
-from .tile import Tile, TileInventory
+Names resolve lazily (PEP 562, :mod:`repro._lazy`): importing the
+package imports none of its submodules, and the first access of an
+exported name imports the one submodule that defines it.  Lazy
+``arch`` and ``interconnect`` packages also keep the
+:mod:`~repro.arch.cluster` <-> :mod:`~repro.interconnect.routing` pair
+free of an import cycle, whichever of the two loads first.
+"""
 
-__all__ = [
-    "BankAddress", "Barrier", "CoreState", "CoreStats", "Group",
-    "Instruction", "InstructionCache", "MemPoolCluster", "MemoryMap", "Op",
-    "Program", "ProgramBuilder", "SPMBank", "ScoreboardSnitchCore",
-    "SnitchCore", "Tile", "TileInventory", "TileSPM",
-]
+from .._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "cluster": ("Barrier", "MemPoolCluster"),
+    "group": ("Group",),
+    "icache": ("InstructionCache",),
+    "isa": ("Instruction", "Op", "Program", "ProgramBuilder"),
+    "memory_map": ("BankAddress", "MemoryMap"),
+    "scoreboard": ("ScoreboardSnitchCore",),
+    "snitch": ("CoreState", "CoreStats", "SnitchCore"),
+    "spm": ("SPMBank", "TileSPM"),
+    "tile": ("Tile", "TileInventory"),
+})

@@ -1,32 +1,24 @@
-"""The paper's primary contribution: configurations, partitioning, metrics."""
+"""The paper's primary contribution: configurations, partitioning, metrics.
 
-from .config import (
-    CAPACITIES_MIB,
-    ArchParams,
-    Flow,
-    MemPoolConfig,
-    config_by_name,
-    paper_configurations,
-)
-from .explorer import DesignPoint, Explorer, OBJECTIVES
-from .metrics import (
-    GroupResult,
-    KernelMetrics,
-    NormalizedGroupResult,
-    gain,
-    normalize,
-)
-from .partition import (
-    TilePartition,
-    adjusted_partition,
-    default_partition,
-    select_partition,
-)
+Names resolve lazily (PEP 562, :mod:`repro._lazy`): importing the
+package imports none of its submodules, and the first access of an
+exported name imports the one submodule that defines it.
+"""
 
-__all__ = [
-    "ArchParams", "CAPACITIES_MIB", "DesignPoint", "Explorer", "Flow",
-    "GroupResult", "KernelMetrics", "MemPoolConfig", "NormalizedGroupResult",
-    "OBJECTIVES", "TilePartition", "adjusted_partition", "config_by_name",
-    "default_partition", "gain", "normalize", "paper_configurations",
-    "select_partition",
-]
+from .._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "config": (
+        "ArchParams", "CAPACITIES_MIB", "Flow", "MemPoolConfig",
+        "config_by_name", "paper_configurations",
+    ),
+    "explorer": ("DesignPoint", "Explorer", "OBJECTIVES"),
+    "metrics": (
+        "GroupResult", "KernelMetrics", "NormalizedGroupResult", "gain",
+        "normalize",
+    ),
+    "partition": (
+        "TilePartition", "adjusted_partition", "default_partition",
+        "select_partition",
+    ),
+})

@@ -34,12 +34,7 @@ import math
 import os
 import pickle
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from typing import Callable, Iterator, Optional, Protocol, runtime_checkable
 
 from ..api.registry import FLOWS, WORKLOADS, Registry
@@ -270,6 +265,9 @@ class ProcessBackend:
         # None when tracing is disarmed, so the common case pickles a
         # single None.
         envelope = trace.envelope()
+        # Imported on first use: the module loads most of multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=workers,
             mp_context=self.mp_context,

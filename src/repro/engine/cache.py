@@ -483,7 +483,10 @@ def stage_cache_for(root: str | Path) -> StageCache:
     children skip ``atexit`` (they leave via ``os._exit``), so the exit
     hook is registered with ``multiprocessing.util.Finalize`` as well,
     which their bootstrap does run; the delta-based flush makes running
-    both a no-op.
+    both a no-op.  A ``fork``-started child inherits the parent's cache
+    but not its ``Finalize`` hooks (the bootstrap clears them), so an
+    after-fork hook drops the inherited, parent-owned counter growth and
+    registers the child's own exit flush.
     """
     key = str(root)
     cache = _STAGE_CACHES.get(key)
@@ -494,7 +497,19 @@ def stage_cache_for(root: str | Path) -> StageCache:
         _STAGE_CACHES[key] = cache
         atexit.register(cache.flush_stats)
         mp_util.Finalize(None, cache.flush_stats, exitpriority=10)
+        mp_util.register_after_fork(cache, _adopt_in_child)
     return cache
+
+
+def _adopt_in_child(cache: StageCache) -> None:
+    """After-fork hook: the parent flushes what it counted before the
+    fork, and the child flushes only its own growth, at its exit."""
+    from multiprocessing import util as mp_util
+
+    # A lock another parent thread held at the fork stays held here.
+    cache._flush_lock = threading.Lock()
+    cache.take_delta()
+    mp_util.Finalize(None, cache.flush_stats, exitpriority=10)
 
 
 def record_stats(root: str | Path, delta: dict[str, int]) -> None:

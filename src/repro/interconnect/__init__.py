@@ -1,11 +1,16 @@
-"""Interconnect substrate: crossbar, butterfly networks, topology, routing."""
+"""Interconnect substrate: crossbar, butterfly networks, topology, routing.
 
-from .butterfly import ButterflyNetwork
-from .crossbar import LogarithmicCrossbar
-from .routing import FabricRouter
-from .topology import ClusterTopology, LatencyTable
+Names resolve lazily (PEP 562, :mod:`repro._lazy`): importing the
+package imports none of its submodules, and the first access of an
+exported name imports the one submodule that defines it (see
+:mod:`repro.arch` for the import cycle this keeps closed).
+"""
 
-__all__ = [
-    "ButterflyNetwork", "ClusterTopology", "FabricRouter",
-    "LatencyTable", "LogarithmicCrossbar",
-]
+from .._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "butterfly": ("ButterflyNetwork",),
+    "crossbar": ("LogarithmicCrossbar",),
+    "routing": ("FabricRouter",),
+    "topology": ("ClusterTopology", "LatencyTable"),
+})

@@ -1,43 +1,30 @@
-"""Kernel library: tiled matmul, phase model, and DSP workloads."""
+"""Kernel library: tiled matmul, phase model, and DSP workloads.
 
-from .blocked import BlockedMatmulResult, run_blocked_matmul
-from .matmul import (
-    MatmulLayout,
-    MatmulRun,
-    calibrate_from_simulation,
-    matmul_program_blocked,
-    matmul_program_simple,
-    run_matmul,
-)
-from .phases import (
-    DEFAULT_PHASE_PARAMS,
-    PhaseBreakdown,
-    PhaseModelParams,
-    double_buffered_cycles,
-    double_buffered_plan,
-    matmul_cycles,
-    speedup,
-)
-from .roofline import arithmetic_intensity, ridge_bandwidth, roofline_point
-from .transforms import run_reduction, run_transpose
-from .tiling import TilingPlan, lcm_matrix_dim, paper_tiling, select_tile_size
-from .workloads import (
-    WorkloadRun,
-    run_axpy,
-    run_conv2d,
-    run_dotp,
-    run_matvec,
-    run_stencil5,
-)
+Names resolve lazily (PEP 562, :mod:`repro._lazy`): importing the
+package imports none of its submodules, and the first access of an
+exported name imports the one submodule that defines it.  So the
+closed-form phase model (:mod:`~repro.kernels.phases`) loads without
+numpy or the simulator, which the simulated kernels import on first use.
+"""
 
-__all__ = [
-    "BlockedMatmulResult", "DEFAULT_PHASE_PARAMS", "MatmulLayout",
-    "MatmulRun", "PhaseBreakdown", "PhaseModelParams", "TilingPlan",
-    "WorkloadRun", "calibrate_from_simulation", "lcm_matrix_dim",
-    "matmul_cycles", "matmul_program_blocked", "matmul_program_simple",
-    "paper_tiling", "run_axpy", "run_blocked_matmul", "run_conv2d",
-    "run_dotp", "run_matmul", "run_matvec", "run_stencil5",
-    "select_tile_size", "speedup", "arithmetic_intensity",
-    "double_buffered_cycles", "double_buffered_plan", "ridge_bandwidth",
-    "roofline_point", "run_reduction", "run_transpose",
-]
+from .._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "blocked": ("BlockedMatmulResult", "run_blocked_matmul"),
+    "matmul": (
+        "MatmulLayout", "MatmulRun", "calibrate_from_simulation",
+        "matmul_program_blocked", "matmul_program_simple", "run_matmul",
+    ),
+    "phases": (
+        "DEFAULT_PHASE_PARAMS", "PhaseBreakdown", "PhaseModelParams",
+        "double_buffered_cycles", "double_buffered_plan", "matmul_cycles",
+        "speedup",
+    ),
+    "roofline": ("arithmetic_intensity", "ridge_bandwidth", "roofline_point"),
+    "transforms": ("run_reduction", "run_transpose"),
+    "tiling": ("TilingPlan", "lcm_matrix_dim", "paper_tiling", "select_tile_size"),
+    "workloads": (
+        "WorkloadRun", "run_axpy", "run_conv2d", "run_dotp", "run_matvec",
+        "run_stencil5",
+    ),
+})

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..arch.cluster import MemPoolCluster
 from ..arch.isa import Program, ProgramBuilder
 from ..core.config import MemPoolConfig
@@ -134,6 +132,8 @@ def run_blocked_matmul(
     m = plan.matrix_dim
     if not plan.fits(config.spm_bytes):
         raise ValueError("tiling plan does not fit this configuration's SPM")
+
+    import numpy as np
 
     rng = np.random.default_rng(seed)
     a = rng.integers(-20, 20, size=(m, m), dtype=np.int64)

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..arch.cluster import MemPoolCluster
 from ..arch.isa import Program, ProgramBuilder
 from ..core.config import MemPoolConfig
@@ -226,6 +224,8 @@ def run_matmul(
             f"{n}x{n} operands need {layout.bytes_needed} B, "
             f"SPM has {config.spm_bytes} B"
         )
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     a = rng.integers(-50, 50, size=(n, n), dtype=np.int64)
     b = rng.integers(-50, 50, size=(n, n), dtype=np.int64)

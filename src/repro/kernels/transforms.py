@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from ..arch.cluster import MemPoolCluster
 from ..arch.isa import Program, ProgramBuilder
 from ..core.config import MemPoolConfig
@@ -161,6 +159,8 @@ def run_transpose(
     config: MemPoolConfig, n: int, num_cores: int, seed: int = 31
 ) -> tuple[WorkloadRun, float]:
     """Simulate a transpose; returns the run and the bank-conflict rate."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     matrix = rng.integers(0, 1 << 16, size=(n, n), dtype=np.int64)
     base_in, base_out = 0, 4 * n * n
@@ -182,6 +182,8 @@ def run_reduction(
     config: MemPoolConfig, num_elements: int, num_cores: int, seed: int = 37
 ) -> tuple[WorkloadRun, int]:
     """Simulate a tree reduction; returns the run and barrier episodes."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     data = rng.integers(0, 1000, size=num_elements, dtype=np.int64)
     base_data = 0

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from ..api.registry import register_workload
 from ..arch.cluster import MemPoolCluster
 from ..arch.isa import Program, ProgramBuilder
@@ -298,6 +296,8 @@ def prepare_matvec(
     seed: int = 19,
 ) -> tuple[MemPoolCluster, "FinishFn"]:
     """Loaded cluster for a matrix-vector product, plus its verifier."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     m = rng.integers(-30, 30, size=(rows, cols), dtype=np.int64)
     x = rng.integers(-30, 30, size=cols, dtype=np.int64)
@@ -345,6 +345,8 @@ def prepare_stencil5(
     seed: int = 29,
 ) -> tuple[MemPoolCluster, "FinishFn"]:
     """Loaded cluster for a 5-point stencil, plus its verifier."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     image = rng.integers(-50, 50, size=(height, width), dtype=np.int64)
     out_h, out_w = height - 2, width - 2
@@ -401,6 +403,8 @@ def prepare_dotp(
     seed: int = 11,
 ) -> tuple[MemPoolCluster, "FinishFn"]:
     """Loaded cluster for a dot product, plus its verifier."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     a = rng.integers(-100, 100, size=num_elements, dtype=np.int64)
     b = rng.integers(-100, 100, size=num_elements, dtype=np.int64)
@@ -448,6 +452,8 @@ def prepare_axpy(
     seed: int = 13,
 ) -> tuple[MemPoolCluster, "FinishFn"]:
     """Loaded cluster for an AXPY, plus its verifier."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     x = rng.integers(-100, 100, size=num_elements, dtype=np.int64)
     y = rng.integers(-100, 100, size=num_elements, dtype=np.int64)
@@ -497,6 +503,8 @@ def prepare_conv2d(
     seed: int = 17,
 ) -> tuple[MemPoolCluster, "FinishFn"]:
     """Loaded cluster for a 3x3 convolution, plus its verifier."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     image = rng.integers(-20, 20, size=(height, width), dtype=np.int64)
     kernel = rng.integers(-5, 5, size=(3, 3), dtype=np.int64)

@@ -10,24 +10,22 @@ Four small modules, one discipline (disarmed costs one boolean check):
   pipeline, aggregated into per-sweep breakdowns.
 * :mod:`repro.obs.report` — stamped BENCH artifacts and self-contained
   HTML reports.
+
+Names and the three submodules ``metrics``, ``profile`` and ``trace``
+resolve lazily (PEP 562, :mod:`repro._lazy`): importing the package
+imports none of its submodules, and the first access of an exported
+name imports the one submodule that defines it.  So the pipeline's
+spans do not load the HTML renderer.
 """
 
-from . import metrics, profile, trace
-from .metrics import REGISTRY, Counter, Gauge, Histogram, MetricsRegistry
-from .profile import StageProfiler
-from .report import render_html, stamp_bench, write_html
+from .._lazy import lazy_exports
 
-__all__ = [
-    "REGISTRY",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "StageProfiler",
-    "metrics",
-    "profile",
-    "render_html",
-    "stamp_bench",
-    "trace",
-    "write_html",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "metrics": ("REGISTRY", "Counter", "Gauge", "Histogram", "MetricsRegistry"),
+        "profile": ("StageProfiler",),
+        "report": ("render_html", "stamp_bench", "write_html"),
+    },
+    submodules=("metrics", "profile", "trace"),
+)

@@ -1,30 +1,27 @@
-"""Physical-implementation models: technology, floorplan, timing, power, flows."""
+"""Physical-implementation models: technology, floorplan, timing, power, flows.
 
-from .calibration import Calibration, DEFAULT_CALIBRATION
-from .cluster_level import ClusterImplementation, implement_cluster
-from .clocktree import clock_tree_for_group, synthesize_clock_tree
-from .cost import CostModelParams, analyze_cost, cost_ratio_3d_over_2d
-from .maps import cell_density_map, routing_demand_map
-from .thermal import ThermalParams, analyze_thermal
-from .flow2d import implement_group_2d, implement_tile_2d
-from .flow3d import (
-    implement_group,
-    implement_group_3d,
-    implement_tile_3d,
-    memory_die_array,
-)
-from .flowbase import GroupImplementation, TileImplementation
-from .sram import SRAMCompiler, SRAMMacro, icache_bank_macro, spm_bank_macro
-from .technology import DEFAULT_TECHNOLOGY, MetalStack, Technology, make_stack
+Names resolve lazily (PEP 562, :mod:`repro._lazy`): importing the
+package imports none of its submodules, and the first access of an
+exported name imports the one submodule that defines it.  So a flow
+plugin (:mod:`~repro.physical.flow2d`, :mod:`~repro.physical.flow3d`)
+loads without the numpy-backed maps of :mod:`~repro.physical.maps`.
+"""
 
-__all__ = [
-    "Calibration", "ClusterImplementation", "CostModelParams",
-    "DEFAULT_CALIBRATION", "DEFAULT_TECHNOLOGY", "GroupImplementation",
-    "MetalStack", "SRAMCompiler", "SRAMMacro", "Technology", "analyze_cost",
-    "cost_ratio_3d_over_2d", "icache_bank_macro", "implement_cluster",
-    "implement_group", "implement_group_2d", "implement_group_3d",
-    "implement_tile_2d", "implement_tile_3d", "make_stack",
-    "memory_die_array", "spm_bank_macro", "TileImplementation",
-    "ThermalParams", "analyze_thermal", "cell_density_map",
-    "clock_tree_for_group", "routing_demand_map", "synthesize_clock_tree",
-]
+from .._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "calibration": ("Calibration", "DEFAULT_CALIBRATION"),
+    "cluster_level": ("ClusterImplementation", "implement_cluster"),
+    "clocktree": ("clock_tree_for_group", "synthesize_clock_tree"),
+    "cost": ("CostModelParams", "analyze_cost", "cost_ratio_3d_over_2d"),
+    "maps": ("cell_density_map", "routing_demand_map"),
+    "thermal": ("ThermalParams", "analyze_thermal"),
+    "flow2d": ("implement_group_2d", "implement_tile_2d"),
+    "flow3d": (
+        "implement_group", "implement_group_3d", "implement_tile_3d",
+        "memory_die_array",
+    ),
+    "flowbase": ("GroupImplementation", "TileImplementation"),
+    "sram": ("SRAMCompiler", "SRAMMacro", "icache_bank_macro", "spm_bank_macro"),
+    "technology": ("DEFAULT_TECHNOLOGY", "MetalStack", "Technology", "make_stack"),
+})

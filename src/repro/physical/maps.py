@@ -13,10 +13,12 @@ renders it as ASCII art for terminal inspection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .flowbase import GroupImplementation
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 #: Share of the group-level cells sitting in the central interconnect
 #: pockets (Figure 4b's yellow/red regions).
@@ -55,6 +57,8 @@ class DensityMap:
     @property
     def edge_mean(self) -> float:
         """Mean value outside the central ninth."""
+        import numpy as np
+
         rows, cols = self.values.shape
         mask = np.ones_like(self.values, dtype=bool)
         r0, r1 = rows // 3, 2 * rows // 3 + 1
@@ -76,6 +80,8 @@ class DensityMap:
 
 
 def _bin_edges(extent: float, bins: int) -> np.ndarray:
+    import numpy as np
+
     return np.linspace(0.0, extent, bins + 1)
 
 
@@ -100,6 +106,8 @@ def cell_density_map(impl: GroupImplementation, bins: int = 24) -> DensityMap:
     """
     if bins < 6:
         raise ValueError("need at least 6 bins for a meaningful map")
+    import numpy as np
+
     placement = impl.placement
     values = np.zeros((bins, bins))
     xs = _bin_edges(placement.width_um, bins)
@@ -143,6 +151,8 @@ def routing_demand_map(impl: GroupImplementation, bins: int = 24) -> DensityMap:
     """
     if bins < 6:
         raise ValueError("need at least 6 bins for a meaningful map")
+    import numpy as np
+
     placement = impl.placement
     values = np.zeros((bins, bins))
     xs = _bin_edges(placement.width_um, bins)

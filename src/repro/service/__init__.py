@@ -24,31 +24,20 @@ Quick start::
 
     with ReproService(cache_dir=".sweep-cache").run_in_thread() as url:
         ...  # point repro.client.ServiceClient (or curl) at `url`
+
+Names resolve lazily (PEP 562, :mod:`repro._lazy`): importing the
+package imports none of its submodules, and the first access of an
+exported name imports the one submodule that defines it.  The engine
+imports :mod:`~repro.service.pool` to register the ``remote`` backend,
+and importing the server here (which itself builds on the engine) would
+close an import cycle.
 """
 
-# Lazy exports (PEP 562), mirroring the top-level package: the engine
-# imports this package to register the ``remote`` backend, and eagerly
-# importing the server here (which itself builds on the engine) would
-# close an import cycle.
-_EXPORTS = {
-    "JobState": "jobs",
-    "ServiceJob": "jobs",
-    "RemoteBackend": "pool",
-    "PROTOCOL_VERSION": "protocol",
-    "ReproService": "server",
-}
+from .._lazy import lazy_exports
 
-__all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name: str):
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    return getattr(import_module(f".{module}", __name__), name)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_EXPORTS))
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "jobs": ("JobState", "ServiceJob"),
+    "pool": ("RemoteBackend",),
+    "protocol": ("PROTOCOL_VERSION",),
+    "server": ("ReproService",),
+})

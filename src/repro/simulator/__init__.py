@@ -1,24 +1,23 @@
-"""Cycle-driven simulation engine and off-chip memory model."""
+"""Cycle-driven simulation engine and off-chip memory model.
 
-from .dma import DMACore, DMARequest, dma_fill
-from .engine import (
-    Engine,
-    SIM_ENGINES,
-    SimulationResult,
-    SimulationTimeout,
-    run_cluster,
-)
-from .fast import FastEngine
-from .memsys import (
-    DDR_CHANNEL_BYTES_PER_CYCLE,
-    OffChipMemory,
-    PAPER_BANDWIDTH_SWEEP,
-)
-from .trace import ClusterTrace, collect_trace
+Names resolve lazily (PEP 562, :mod:`repro._lazy`): importing the
+package imports none of its submodules, and the first access of an
+exported name imports the one submodule that defines it.  So the
+off-chip memory model (:mod:`~repro.simulator.memsys`) loads without
+the cluster or either simulator.
+"""
 
-__all__ = [
-    "ClusterTrace", "DDR_CHANNEL_BYTES_PER_CYCLE", "DMACore", "DMARequest",
-    "Engine", "FastEngine", "OffChipMemory", "PAPER_BANDWIDTH_SWEEP",
-    "SIM_ENGINES", "SimulationResult", "SimulationTimeout", "collect_trace",
-    "dma_fill", "run_cluster",
-]
+from .._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "dma": ("DMACore", "DMARequest", "dma_fill"),
+    "engine": (
+        "Engine", "SIM_ENGINES", "SimulationResult", "SimulationTimeout",
+        "run_cluster",
+    ),
+    "fast": ("FastEngine",),
+    "memsys": (
+        "DDR_CHANNEL_BYTES_PER_CYCLE", "OffChipMemory", "PAPER_BANDWIDTH_SWEEP",
+    ),
+    "trace": ("ClusterTrace", "collect_trace"),
+})

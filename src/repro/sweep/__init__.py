@@ -27,30 +27,20 @@ Quick start::
     spec = SweepSpec(bandwidths=(4.0, 16.0, 64.0))
     outcome = SweepExecutor(cache=ResultCache(".sweep-cache"), workers=4).run(spec)
     print(outcome.stats.summary())
+
+Names resolve lazily (PEP 562, :mod:`repro._lazy`): importing the
+package imports none of its submodules, and the first access of an
+exported name imports the one submodule that defines it.  So the
+engine's use of :mod:`~repro.sweep.spec` and :mod:`~repro.sweep.store`
+does not load the :class:`SweepExecutor` shim.
 """
 
-from .cache import ResultCache
-from .executor import SweepExecutor, SweepOutcome, SweepStats, evaluate_job
-from .report import format_table, labeled_points, pareto_pairs, rank, summarize
-from .spec import CODE_MODEL_VERSION, Job, SweepSpec
-from .store import ResultStore, failure_record, point_to_record, record_to_point
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CODE_MODEL_VERSION",
-    "Job",
-    "ResultCache",
-    "ResultStore",
-    "SweepExecutor",
-    "SweepOutcome",
-    "SweepSpec",
-    "SweepStats",
-    "evaluate_job",
-    "failure_record",
-    "format_table",
-    "labeled_points",
-    "pareto_pairs",
-    "point_to_record",
-    "rank",
-    "record_to_point",
-    "summarize",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "cache": ("ResultCache",),
+    "executor": ("SweepExecutor", "SweepOutcome", "SweepStats", "evaluate_job"),
+    "report": ("format_table", "labeled_points", "pareto_pairs", "rank", "summarize"),
+    "spec": ("CODE_MODEL_VERSION", "Job", "SweepSpec"),
+    "store": ("ResultStore", "failure_record", "point_to_record", "record_to_point"),
+})
