@@ -10,15 +10,16 @@ kill).
 
 import time
 
+from repro.engine import Engine
 from repro.search import Searcher, paper_space
-from repro.sweep import ResultCache, SweepExecutor, SweepSpec, record_to_point
+from repro.sweep import ResultCache, SweepSpec, record_to_point
 
 #: The exhaustive reference: 4 capacities x 2 flows x 7 bandwidths.
 GRID = SweepSpec(bandwidths=(2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0))
 
 
 def _grid_optima():
-    outcome = SweepExecutor().run(GRID)
+    outcome = Engine().run(GRID.jobs())
     assert outcome.stats.failed == 0
     points = [record_to_point(r) for r in outcome.ok_records]
     return {

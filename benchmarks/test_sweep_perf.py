@@ -9,7 +9,8 @@ content-addressed cache with zero re-evaluations.
 import time
 
 from repro.core.explorer import Explorer
-from repro.sweep import ResultCache, SweepExecutor, SweepSpec, record_to_point
+from repro.engine import Engine
+from repro.sweep import ResultCache, SweepSpec, record_to_point
 
 #: 4 capacities x 2 flows x 7 bandwidths = 56 design points.
 BANDWIDTHS = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
@@ -29,7 +30,7 @@ def test_parallel_sweep_matches_serial_explorer(tmp_path):
 
     cache = ResultCache(tmp_path)
     t0 = time.perf_counter()
-    outcome = SweepExecutor(cache=cache, workers=4).run(GRID)
+    outcome = Engine(cache=cache, workers=4).run(GRID.jobs())
     t_parallel = time.perf_counter() - t0
 
     assert outcome.stats.evaluated == len(GRID)
@@ -45,11 +46,11 @@ def test_parallel_sweep_matches_serial_explorer(tmp_path):
 
 def test_cached_resweep_is_near_free(tmp_path, benchmark):
     cache = ResultCache(tmp_path)
-    cold = SweepExecutor(cache=cache, workers=4).run(GRID)
+    cold = Engine(cache=cache, workers=4).run(GRID.jobs())
     assert cold.stats.evaluated == len(GRID)
 
     warm = benchmark.pedantic(
-        lambda: SweepExecutor(cache=cache, workers=4).run(GRID),
+        lambda: Engine(cache=cache, workers=4).run(GRID.jobs()),
         iterations=1,
         rounds=3,
     )

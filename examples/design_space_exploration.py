@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Design-space co-exploration on the parallel, cached sweep engine.
+"""Design-space co-exploration on the parallel, cached engine.
 
 Reproduces the paper's central workflow — sweeping the architectural axis
 (1-8 MiB of shared L1) and the technology axis (2D vs Macro-3D) together —
-but through `repro.sweep`: the grid also spans off-chip bandwidth, runs
-across worker processes, and lands in a content-addressed cache, so the
-second pass over the same grid costs nothing.
+as a `repro.sweep` grid run on `repro.engine.Engine`: the grid also spans
+off-chip bandwidth, runs across worker processes, and lands in a
+content-addressed cache, so the second pass over the same grid costs
+nothing.
 
 Run:  python examples/design_space_exploration.py [bandwidth_B_per_cycle ...]
 """
@@ -17,7 +18,6 @@ from repro.engine import Engine
 from repro.search import Searcher, paper_space
 from repro.sweep import (
     ResultCache,
-    SweepExecutor,
     SweepSpec,
     format_table,
     labeled_points,
@@ -86,12 +86,11 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory(prefix="sweep-cache-") as cache_dir:
         cache = ResultCache(cache_dir)
-        executor = SweepExecutor(cache=cache, workers=2)
-
-        outcome = executor.run(spec)
+        outcome = Engine(cache=cache, workers=2).run(spec.jobs())
         print(f"cold sweep of {len(spec)} points:   {outcome.stats.summary()}")
 
-        resumed = executor.run(spec)
+        # A new engine has an empty memory tier: every hit is on disk.
+        resumed = Engine(cache=cache, workers=2).run(spec.jobs())
         print(f"warm sweep (content-addressed): {resumed.stats.summary()}")
         assert resumed.stats.evaluated == 0, "second pass must be pure cache hits"
 

@@ -255,12 +255,12 @@ def _progress_printer(progress: bool):
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .engine import resolve_backend
-    from .sweep import ResultCache, ResultStore, SweepExecutor, SweepSpec, summarize
+    from .engine import Engine, resolve_backend
+    from .sweep import ResultCache, ResultStore, SweepSpec, summarize
 
     # Resolve once so the status line reports what will actually run
     # (backend default policy and auto-sized worker pools live in
-    # resolve_backend, not here); the instance is handed to the shim.
+    # resolve_backend, not here); the instance is handed to the engine.
     # Everything is checked before the cache directory is created.
     try:
         spec = SweepSpec(
@@ -276,28 +276,36 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:  # rejected input: one line, no traceback
         print(f"repro sweep: {exc}", file=sys.stderr)
         return 2
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    store = ResultStore(args.store) if args.store else None
-    executor = SweepExecutor(
-        cache=cache,
-        workers=args.workers,
-        store=store,
+    engine = Engine(
         backend=backend,
+        workers=args.workers,
+        cache=None if args.no_cache else ResultCache(args.cache_dir),
         on_result=_progress_printer(args.progress),
         sim_engine=args.sim_engine,
     )
+    # Keyed for the engine's tier once: a point listed twice
+    # (``--bandwidths 16,16.0``) is one evaluation, one count, one line.
+    jobs = [engine.job_of(job) for job in jobs]
+    points = len({job.key for job in jobs})
     name = getattr(backend, "name", type(backend).__name__)
     workers = getattr(backend, "workers", 1)
-    print(f"sweeping {len(jobs)} design points "
+    print(f"sweeping {points} design points "
           f"({name} backend, {workers} worker{'s' if workers != 1 else ''})...")
     try:
-        outcome = executor.run(jobs)
+        outcome = engine.run(jobs)
     except KeyboardInterrupt:
         return _interrupted("sweep", cached=not args.no_cache)
-    print(outcome.stats.summary())
+    if args.store:
+        store = ResultStore(args.store)
+        for record in outcome.records:  # spec order
+            store.append(record)
+    stats = outcome.stats
+    print(f"{stats.total} jobs: {stats.cached} cached, "
+          f"{stats.evaluated} evaluated, {stats.failed} failed "
+          f"in {stats.duration_s:.2f}s")
     print()
     print(summarize(outcome.records, top=args.top))
-    return 1 if outcome.stats.failed else 0
+    return 1 if stats.failed else 0
 
 
 def _interrupted(command: str, cached: bool) -> int:

@@ -10,8 +10,9 @@ but only in the import order that happens to trigger both, so the lint
 checks the whole tree at once.
 
 Allowed exceptions: the registries' own ``_seed*`` functions (they run
-exactly once, under the registry lock, before first lookup) and any
-function explicitly named ``_seed*`` following that contract.
+exactly once, under the registry lock, before the first listing or the
+first lookup of a name not yet registered) and any function explicitly
+named ``_seed*`` following that contract.
 """
 
 from __future__ import annotations
@@ -77,7 +78,8 @@ def _registered_name(node: ast.Call) -> Optional[str]:
 def _in_exempt_scope(stack: tuple) -> bool:
     """Seed functions and the ``register_*`` helpers themselves.
 
-    ``_seed*`` runs once under the registry lock before first lookup;
+    ``_seed*`` runs once under the registry lock, before the first
+    listing or the first lookup of a name not yet registered;
     ``register_<kind>`` wrappers *are* the registration machinery —
     the call site that matters is whoever applies them.
     """

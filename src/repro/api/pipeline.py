@@ -5,9 +5,10 @@ plugin registries, implements the group, evaluates the kernel, and
 returns one :class:`RunResult` bundling the physical record
 (area/frequency/power and the rest of Table II), the kernel metrics
 (cycles/energy/EDP), and the derived objective score.  It is the single
-evaluation path behind :func:`repro.core.explorer.evaluate_point`, the
-``repro.sweep`` executor, the experiment harness, and the ``repro run``
-CLI, so every consumer produces bit-identical metrics.
+evaluation path behind :class:`repro.engine.Engine` (and so the
+explorer, ``repro sweep``, search and the service), the experiment
+harness, and the ``repro run`` CLI, so every consumer produces
+bit-identical metrics.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from ..core.config import MemPoolConfig
 from ..core.metrics import GroupResult, KernelMetrics
 from ..obs import profile as _profile
 from ..obs import trace as _trace
@@ -94,12 +94,12 @@ class RunResult:
         key, _ = OBJECTIVES.get(objective or self.scenario.objective)
         return key(self)
 
-    def to_design_point(self, config: Optional[MemPoolConfig] = None):
+    def to_design_point(self):
         """The legacy :class:`~repro.core.explorer.DesignPoint` view."""
         from ..core.explorer import DesignPoint  # runtime: avoids a cycle
 
         return DesignPoint(
-            config=config if config is not None else self.scenario.to_config(),
+            config=self.scenario.to_config(),
             footprint_um2=self.physical.footprint_um2,
             combined_area_um2=self.physical.combined_area_um2,
             frequency_mhz=self.physical.frequency_mhz,

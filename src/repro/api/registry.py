@@ -29,6 +29,7 @@ import it to self-register without creating import cycles.
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Mapping
 from typing import Callable, Iterator, Optional, TypeVar
 
@@ -40,9 +41,11 @@ class Registry:
 
     Args:
         kind: Human-readable plugin kind for error messages.
-        seed: Optional zero-argument callable run once, before the first
-            lookup, to register the built-in plugins (typically by
-            importing the modules that self-register).
+        seed: Optional zero-argument callable run once to register the
+            built-in plugins (typically by importing the modules that
+            self-register): on the first listing, membership test or
+            removal, and on the first :meth:`get` of a name not yet
+            registered.  Other threads' first lookups wait for it.
 
     Iteration preserves registration order; :meth:`names` likewise, so
     listings show built-ins first and plugins after.
@@ -53,6 +56,8 @@ class Registry:
         self._items: dict[str, object] = {}
         self._seed = seed
         self._seeded = seed is None
+        self._seed_started = self._seeded
+        self._seed_lock = threading.RLock()
         #: Monotonic registration epoch: bumped on every successful
         #: :meth:`register`/:meth:`unregister`, so caches derived from
         #: the registry's contents (e.g. the successive-halving screen
@@ -60,12 +65,20 @@ class Registry:
         self.generation = 0
 
     def _ensure_seeded(self) -> None:
-        if not self._seeded:
-            # Guard before seeding: the seed imports modules whose
-            # decorators call back into this registry.
-            self._seeded = True
-            assert self._seed is not None
-            self._seed()
+        if self._seeded:
+            return
+        with self._seed_lock:
+            # Another thread's first lookup waits here for the seed; a
+            # lookup the seed itself makes (re-entering on this thread)
+            # sees the registry as seeded so far.
+            if self._seed_started:
+                return
+            self._seed_started = True
+            try:
+                assert self._seed is not None
+                self._seed()
+            finally:
+                self._seeded = True
 
     def register(self, name: str, obj: T) -> T:
         """Register ``obj`` under ``name``.
@@ -95,11 +108,14 @@ class Registry:
         return wrap
 
     def get(self, name: str) -> object:
-        """Look up a plugin by name.
+        """Look up a plugin by name (seeding only on a miss).
 
         Raises:
             ValueError: On an unknown name, listing what is available.
         """
+        item = self._items.get(name)
+        if item is not None:
+            return item
         self._ensure_seeded()
         try:
             return self._items[name]

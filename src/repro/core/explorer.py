@@ -56,46 +56,6 @@ class DesignPoint:
 OBJECTIVES: RegistryMapping = RegistryMapping(_OBJECTIVE_REGISTRY)
 
 
-def evaluate_point(
-    config: MemPoolConfig,
-    bandwidth: float = DDR_CHANNEL_BYTES_PER_CYCLE,
-    phase_params: PhaseModelParams = DEFAULT_PHASE_PARAMS,
-    tiling: Optional[TilingPlan] = None,
-) -> DesignPoint:
-    """Implement one configuration and attach its kernel metrics.
-
-    A thin wrapper over :meth:`repro.api.Pipeline.run` kept as the
-    stable, picklable entry point of the serial :class:`Explorer` and the
-    parallel ``repro.sweep`` executor; the pipeline (flow plugin +
-    workload plugin) performs the same arithmetic the pre-API code did,
-    bit for bit.
-
-    Args:
-        config: The MemPool instance to implement.
-        bandwidth: Off-chip bandwidth for the kernel model (B/cycle).
-        phase_params: Phase-model calibration.
-        tiling: Tiling plan; defaults to the paper's for this capacity.
-    """
-    from ..api.pipeline import Pipeline  # local: avoids an import cycle
-    from ..api.scenario import Scenario, arch_overrides
-
-    plan = tiling if tiling is not None else paper_tiling(config.capacity_mib)
-    scenario = Scenario(
-        capacity_mib=config.capacity_mib,
-        flow=config.flow.value,
-        bandwidth=bandwidth,
-        matrix_dim=plan.matrix_dim,
-        tile_size=plan.tile_size,
-        word_bytes=plan.word_bytes,
-        num_cores=phase_params.num_cores,
-        cpi_mac=phase_params.cpi_mac,
-        phase_overhead_cycles=phase_params.phase_overhead_cycles,
-        arch=arch_overrides(config.arch),
-        target_frequency_mhz=config.target_frequency_mhz,
-    )
-    return Pipeline().run(scenario).to_design_point(config=config)
-
-
 #: Default ``pareto_front`` objectives: the paper's performance vs
 #: energy-efficiency trade-off, both maximized.
 DEFAULT_FRONT_OBJECTIVES: tuple[tuple[Callable, bool], ...] = (
@@ -210,7 +170,6 @@ class Explorer:
     def explore(self) -> list[DesignPoint]:
         """Implement every configuration and attach kernel metrics."""
         from ..engine.core import Engine  # runtime: avoids an import cycle
-        from ..sweep.spec import Job
         from ..sweep.store import record_to_point
 
         scenarios = self._scenarios()
@@ -220,12 +179,9 @@ class Explorer:
             raise RuntimeError(
                 f"exploration failed for {record['job']}: {record['error']}"
             )
-        by_key = dict(zip((j.key for j in outcome.jobs), outcome.records))
+        by_key = {record["key"]: record for record in outcome.records}
         # One point per requested scenario, even for repeated entries.
-        return [
-            record_to_point(by_key[Job.from_scenario(s).key])
-            for s in scenarios
-        ]
+        return [record_to_point(by_key[s.cache_key]) for s in scenarios]
 
     def rank(
         self, objective: str, points: Optional[list[DesignPoint]] = None

@@ -1,14 +1,15 @@
 """One pluggable execution layer under explorer, sweep, and search.
 
 Every consumer that evaluates design points in bulk — the serial
-:class:`~repro.core.explorer.Explorer`, the ``repro.sweep`` executor,
-the ``repro.search`` driver, and the experiment harness — runs through
-one :class:`Engine`, so batching, caching, and parallelism are
+:class:`~repro.core.explorer.Explorer`, ``repro sweep``, the
+``repro.search`` driver, the service, and the experiment harness — runs
+through one :class:`Engine`, so batching, caching, and parallelism are
 implemented exactly once:
 
 * :mod:`~repro.engine.backends` — the :class:`ExecutionBackend` plugin
-  registry (``@register_backend``; the fifth registry) seeded with
-  ``serial``, ``thread``, and ``process`` backends;
+  registry (``@register_backend``; the fifth registry) holding the
+  ``serial``, ``thread``, and ``process`` backends, plus ``remote``,
+  whose module the registry loads only when that name is looked up;
 * :mod:`~repro.engine.cache` — the caching tiers: a bounded in-memory
   :class:`LRUCache` layered over the content-addressed on-disk
   :class:`~repro.sweep.cache.ResultCache`, plus the :class:`StageCache`

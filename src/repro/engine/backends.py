@@ -20,11 +20,13 @@ Three backends ship built in:
   its plugin registries and in-memory cache tier) with the caller;
 * ``process`` — ``ProcessPoolExecutor`` fan-out in deterministic chunks,
   with the worker initializer mirroring the parent's runtime plugin
-  registrations so ``spawn``-started workers see them too (this absorbs
-  the pool wiring that used to live in ``repro.sweep.executor``).
+  registrations so ``spawn``-started workers see them too.
 
 A fourth, ``remote``, ships with the serving layer and fans jobs out to
-worker processes over the wire protocol.
+worker processes over the wire protocol.  The registry's seed imports it
+on the first lookup of a name not yet registered, so a process that never
+asks for ``remote`` never loads the protocol, ``socket`` or
+``subprocess``.
 """
 
 from __future__ import annotations
@@ -164,8 +166,16 @@ def _auto_workers(workers: int) -> int:
     return workers
 
 
+def _seed_remote() -> None:
+    # Not registered at import: ``remote`` lives with the wire protocol,
+    # whose modules (and ``socket``, ``subprocess``) only it needs.
+    from ..service.pool import RemoteBackend
+
+    BACKENDS.register("remote", RemoteBackend)
+
+
 #: Backend registry: name -> backend class.  The fifth plugin registry.
-BACKENDS = Registry("backend")
+BACKENDS = Registry("backend", seed=_seed_remote)
 
 
 def register_backend(name: str):
@@ -284,14 +294,6 @@ class ProcessBackend:
                     yield from future.result()
 
 
-# The ``remote`` backend lives with the wire protocol; importing it here
-# registers the name so it resolves everywhere backends do.  No cycle:
-# that module imports this one only lazily or for run_one.
-from ..service.pool import RemoteBackend  # noqa: E402
-
-BACKENDS.register("remote", RemoteBackend)
-
-
 def resolve_backend(
     backend, workers: int = 0, mp_context=None, chunksize=None
 ) -> ExecutionBackend:
@@ -308,11 +310,14 @@ def resolve_backend(
         chunksize: Explicit chunk size for chunking backends.
 
     Raises:
-        ValueError: On a negative ``workers`` (whatever the backend) or
-            an unknown backend name.
+        ValueError: On a negative ``workers`` or a non-positive
+            ``chunksize`` (whatever the backend), or an unknown backend
+            name.
     """
     if workers < 0:
         raise ValueError("workers must be non-negative")
+    if chunksize is not None and chunksize <= 0:
+        raise ValueError("chunksize must be positive")
     if backend is None:
         backend = "process" if workers > 1 else "serial"
     if isinstance(backend, str):

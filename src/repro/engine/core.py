@@ -1,8 +1,8 @@
 """The execution engine: one batched evaluation path for every consumer.
 
 :class:`Engine` is where batching, caching, and parallelism live.  The
-serial :class:`~repro.core.explorer.Explorer`, the ``repro.sweep``
-executor, the ``repro.search`` driver, and the experiment harness all
+serial :class:`~repro.core.explorer.Explorer`, ``repro sweep``, the
+``repro.search`` driver, the service, and the experiment harness all
 funnel their evaluations through :meth:`Engine.run_many`, which
 
 * adopts each :class:`~repro.api.Scenario` as it is, as a
@@ -17,8 +17,8 @@ funnel their evaluations through :meth:`Engine.run_many`, which
 * streams ``(job, record)`` pairs back as they complete, each job under
   a per-item error trap (the sweep's failure-record semantics).
 
-Cache keys, record shapes, and failure handling are exactly the sweep
-engine's, so results are interchangeable across every layer.
+Every consumer gets the same cache keys, record shapes, and failure
+handling, so results are interchangeable across layers.
 """
 
 from __future__ import annotations
@@ -93,12 +93,6 @@ def evaluate_job(
             ``"analytic"``), shipped to workers the same way.
     """
     return _pipeline(stage_root, sim_engine).run(job.scenario())
-
-
-#: Marks evaluate functions that accept the engine's ``stage_root`` and
-#: ``sim_engine`` keywords; wrappers (e.g. the sweep shim's) opt in by
-#: setting it too.
-evaluate_job.supports_stage_root = True  # type: ignore[attr-defined]
 
 
 @dataclass(frozen=True)
@@ -220,7 +214,7 @@ class Engine:
             self.cache = TieredCache(disk=cache, lru_size=lru_size)
         self.evaluate = evaluate
         self.stage_root: Optional[str] = None
-        if getattr(evaluate, "supports_stage_root", False):
+        if evaluate is evaluate_job:
             if stage_cache and self.cache.disk is not None:
                 self.stage_root = str(self.cache.disk.root)
             # partial() keeps the evaluate picklable: pool workers get

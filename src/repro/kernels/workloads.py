@@ -557,10 +557,10 @@ def run_conv2d(
 # Scenario-level workload plugins (repro.api registry).
 #
 # A workload plugin maps a Scenario to a kernel cycle count.  "matmul" is
-# the paper's analytic phase model (the same arithmetic the legacy
-# evaluate_point used); the rest run the cycle-level simulator at the
-# scenario's problem size and verify the result before reporting cycles,
-# so they are only tractable at small matrix_dim values.
+# the paper's analytic phase model (kernels/phases.py); the rest run the
+# cycle-level simulator at the scenario's problem size and verify the
+# result before reporting cycles, so they are only tractable at small
+# matrix_dim values.
 
 #: Largest scenario ``matrix_dim`` the 1D simulator-backed workloads accept.
 SIM_ELEMENT_LIMIT = 1 << 16

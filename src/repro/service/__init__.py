@@ -27,10 +27,10 @@ Quick start::
 
 Names resolve lazily (PEP 562, :mod:`repro._lazy`): importing the
 package imports none of its submodules, and the first access of an
-exported name imports the one submodule that defines it.  The engine
-imports :mod:`~repro.service.pool` to register the ``remote`` backend,
-and importing the server here (which itself builds on the engine) would
-close an import cycle.
+exported name imports the one submodule that defines it.  The engine's
+backend registry imports :mod:`~repro.service.pool` when ``remote`` is
+first asked for, and importing the server here (which itself builds on
+the engine) would close an import cycle.
 """
 
 from .._lazy import lazy_exports

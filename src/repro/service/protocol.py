@@ -77,17 +77,16 @@ def _unpickle_b64(data: str):
 def describe_evaluate(evaluate: Callable) -> dict:
     """The wire form of an evaluate function.
 
-    The canonical evaluates (``repro.engine.core.evaluate_job`` and the
-    sweep shim's re-export, bare or curried with ``stage_root`` and
-    ``sim_engine``) are named symbolically so workers build their own
-    process-wide stage memo; anything else must survive pickling,
-    exactly like a custom evaluate handed to the ``process`` backend.
+    The canonical evaluate (``repro.engine.core.evaluate_job``, bare or
+    curried with ``stage_root`` and ``sim_engine``) is named
+    symbolically so workers build their own process-wide stage memo;
+    anything else must survive pickling, exactly like a custom evaluate
+    handed to the ``process`` backend.
 
     Raises:
         ValueError: If a non-canonical evaluate cannot be pickled.
     """
-    from ..engine import core as engine_core
-    from ..sweep import executor as sweep_executor
+    from ..engine.core import evaluate_job
 
     fn, keywords = evaluate, {}
     if (
@@ -97,7 +96,7 @@ def describe_evaluate(evaluate: Callable) -> dict:
     ):
         keywords = fn.keywords
         fn = fn.func
-    if fn in (engine_core.evaluate_job, sweep_executor.evaluate_job):
+    if fn is evaluate_job:
         return {"kind": "canonical", **keywords}
     try:
         return {"kind": "pickle", "data": _pickle_b64(evaluate)}

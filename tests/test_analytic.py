@@ -310,15 +310,15 @@ class TestEngineTier0:
 
     def test_sweep_executor_keys_prebuilt_jobs_for_its_tier(self, tmp_path):
         """Jobs from ``SweepSpec.jobs()`` are built for the fast engine;
-        an analytic executor keys, evaluates and returns them for its
-        own tier."""
-        from repro.sweep import SweepExecutor, SweepSpec
+        an analytic engine keys, evaluates and returns them for its own
+        tier."""
+        from repro.sweep import SweepSpec
 
         spec = SweepSpec(capacities_mib=(1,), flows=("2D",),
                          bandwidths=(8.0, 32.0), matrix_dims=(768,),
                          core_counts=(16,), kernels=("dotp",))
-        outcome = SweepExecutor(cache=ResultCache(tmp_path),
-                                sim_engine="analytic").run(spec)
+        outcome = Engine(cache=ResultCache(tmp_path),
+                         sim_engine="analytic").run(spec.jobs())
         scenarios = [job.scenario() for job in spec.jobs()]
         tier0 = Pipeline(engine="analytic")
         assert [r["key"] for r in outcome.records] == [

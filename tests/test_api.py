@@ -22,7 +22,7 @@ from repro.api import (
     scenario_schema,
 )
 from repro.core.config import paper_configurations
-from repro.core.explorer import DesignPoint, Explorer, evaluate_point
+from repro.core.explorer import DesignPoint, Explorer
 from repro.core.metrics import KernelMetrics
 from repro.kernels.phases import DEFAULT_PHASE_PARAMS, matmul_cycles
 from repro.kernels.tiling import paper_tiling
@@ -156,6 +156,43 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown thing 'z'"):
             reg.get("z")
 
+    def test_get_of_a_registered_name_does_not_seed(self):
+        seeded = []
+        reg = Registry("thing", seed=lambda: seeded.append(True))
+        reg.register("a", 1)
+        assert reg.get("a") == 1
+        assert seeded == []
+        with pytest.raises(ValueError, match="unknown thing 'z'"):
+            reg.get("z")  # a miss seeds first
+        assert seeded == [True]
+
+    def test_concurrent_first_lookups_wait_for_the_seed(self):
+        import threading
+        import time
+
+        def seed():
+            time.sleep(0.05)  # a slow plugin import
+            reg.register("a", 1)
+
+        reg = Registry("thing", seed=seed)
+        barrier = threading.Barrier(8)
+        results = []
+
+        def look():
+            barrier.wait()
+            try:
+                results.append(reg.get("a"))
+            except ValueError as exc:
+                results.append(exc)
+
+        threads = [threading.Thread(target=look) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [1] * 8
+
     def test_unregister(self):
         reg = Registry("thing")
         reg.register("a", 1)
@@ -207,7 +244,6 @@ class TestPipeline:
                 bandwidth=16.0,
             )
             assert pipeline.run(scenario).to_design_point() == legacy
-            assert evaluate_point(config, bandwidth=16.0) == legacy
 
     def test_run_bundles_physical_kernel_and_derived(self):
         result = Pipeline().run(Scenario(capacity_mib=1, flow="3D"))
@@ -318,7 +354,8 @@ class TestCacheVersioning:
 
     def test_pre_api_cache_entries_are_never_reused(self, tmp_path):
         """A record stored under the PR-1 job key encoding must be a miss."""
-        from repro.sweep import Job, ResultCache, SweepExecutor
+        from repro.engine import Engine
+        from repro.sweep import Job, ResultCache
 
         job = Job(capacity_mib=1, flow="3D", bandwidth=16.0)
         # The pre-API encoding: sha256 over model_version "1" + raw params.
@@ -331,7 +368,7 @@ class TestCacheVersioning:
         cache = ResultCache(tmp_path)
         cache.put({"key": legacy_key, "status": "ok",
                    "job": job.params(), "metrics": {"stale": True}})
-        outcome = SweepExecutor(cache=cache).run([job])
+        outcome = Engine(cache=cache).run([job])
         assert outcome.stats.evaluated == 1  # stale entry was not served
         assert outcome.records[0]["metrics"].get("stale") is None
 

@@ -164,6 +164,46 @@ class TestCommands:
                      "--bandwidths", "16", "--no-cache"]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_sweep_counts_a_repeated_point_once(self, capsys, tmp_path):
+        store = tmp_path / "s.jsonl"
+        assert main(["sweep", "--capacities", "1,1", "--flows", "2D",
+                     "--bandwidths", "16,16.0", "--no-cache",
+                     "--store", str(store)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("sweeping 1 design points ")
+        assert "1 jobs: 0 cached, 1 evaluated, 0 failed" in out
+        assert len(store.read_text().splitlines()) == 1
+
+    def test_sweep_stores_the_engine_records(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        """The sweep takes the engine's evaluation path (no DesignPoint
+        per point), and its store holds the engine's records in spec
+        order, byte for byte."""
+        from repro.api.pipeline import RunResult
+        from repro.engine import Engine
+        from repro.sweep import ResultCache, SweepSpec
+        from repro.sweep.cache import encode_line
+
+        calls = []
+        to_design_point = RunResult.to_design_point
+
+        def counting(result):
+            calls.append(result)
+            return to_design_point(result)
+
+        monkeypatch.setattr(RunResult, "to_design_point", counting)
+        store = tmp_path / "s.jsonl"
+        assert main(["sweep", "--bandwidths", "2,4,8,16,32,64,128",
+                     "--cache-dir", str(tmp_path / "cache"),
+                     "--store", str(store)]) == 0
+        assert "56 jobs: 0 cached, 56 evaluated" in capsys.readouterr().out
+        assert calls == []
+        spec = SweepSpec(bandwidths=(2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0))
+        engine = Engine(cache=ResultCache(tmp_path / "other"))
+        records = engine.run(spec.jobs()).records
+        assert store.read_bytes() == b"".join(map(encode_line, records))
+
     def test_experiments_subset(self, capsys):
         assert main(["experiments", "fig6"]) == 0
         assert "Figure 6" in capsys.readouterr().out
@@ -512,14 +552,12 @@ class TestInterruptHandling:
     def test_sweep_keyboard_interrupt_exits_130(
         self, capsys, monkeypatch, tmp_path
     ):
-        from repro.sweep import executor as executor_mod
+        from repro.engine.core import Engine
 
         def interrupted_run(self, spec):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(
-            executor_mod.SweepExecutor, "run", interrupted_run
-        )
+        monkeypatch.setattr(Engine, "run", interrupted_run)
         code = main(["sweep", "--capacities", "1", "--bandwidths", "16",
                      "--cache-dir", str(tmp_path / "cache")])
         assert code == 130
@@ -527,10 +565,10 @@ class TestInterruptHandling:
         assert "interrupted" in err and "resume with the same command" in err
 
     def test_sweep_interrupt_without_cache_warns(self, capsys, monkeypatch):
-        from repro.sweep import executor as executor_mod
+        from repro.engine.core import Engine
 
         monkeypatch.setattr(
-            executor_mod.SweepExecutor, "run",
+            Engine, "run",
             lambda self, spec: (_ for _ in ()).throw(KeyboardInterrupt),
         )
         code = main(["sweep", "--capacities", "1", "--bandwidths", "16",

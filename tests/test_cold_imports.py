@@ -26,13 +26,13 @@ HEAVY = (
     "repro.kernels.blocked",
     "repro.kernels.matmul",
     "repro.kernels.transforms",
+    "repro.service.pool",
 )
 
 #: Not loaded by ``import repro, repro.api, repro.engine`` either.
 NOT_AT_IMPORT = HEAVY + (
     "repro.simulator.engine",
     "repro.arch.cluster",
-    "repro.sweep.executor",
 )
 
 _SCRIPT = """

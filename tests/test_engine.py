@@ -258,16 +258,6 @@ class TestEngine:
         with pytest.raises(ValueError):
             Engine(workers=-1)
 
-    def test_sweep_executor_honors_post_construction_mutation(self):
-        # Legacy shim contract: attributes are read at run() time.
-        from repro.sweep import SweepExecutor
-
-        executor = SweepExecutor()
-        executor.evaluate = _fail_on_8mib
-        outcome = executor.run(SMALL)
-        assert outcome.stats.failed == 4
-
-
 
 class TestOneBuildPerPoint:
     """The engine adopts the caller's scenarios: each point is built,

@@ -92,10 +92,9 @@ class TestEndToEndThroughPublicApi:
         assert report.findings == [] and report.files_checked == 0
 
     def test_legacy_import_paths_still_work(self):
-        from repro.core.explorer import OBJECTIVES, evaluate_point
+        from repro.core.explorer import OBJECTIVES
         from repro.sweep import CODE_MODEL_VERSION, Job
 
         assert "edp" in OBJECTIVES
-        assert callable(evaluate_point)
         assert Job(capacity_mib=1, flow="2D").key
         assert CODE_MODEL_VERSION.startswith("2.")

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.core.explorer import pareto_front
+from repro.engine import Engine
 from repro.sweep import (
     Job,
-    SweepExecutor,
     SweepSpec,
     failure_record,
     format_table,
@@ -18,8 +18,8 @@ from repro.sweep import (
 @pytest.fixture(scope="module")
 def mixed_records():
     """A small grid's records plus two injected failures, interleaved."""
-    ok = SweepExecutor().run(
-        SweepSpec(capacities_mib=(1, 4), bandwidths=(4.0, 64.0))
+    ok = Engine().run(
+        SweepSpec(capacities_mib=(1, 4), bandwidths=(4.0, 64.0)).jobs()
     ).records
     boom = failure_record(
         Job(capacity_mib=8, flow="3D", bandwidth=4.0), RuntimeError("boom")

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.engine import Engine
 from repro.search import (
     Choice,
     FloatRange,
@@ -23,7 +24,7 @@ from repro.search import (
     register_strategy,
 )
 from repro.search.strategies import lhs_units
-from repro.sweep import ResultCache, SweepExecutor, SweepSpec, record_to_point
+from repro.sweep import ResultCache, SweepSpec, record_to_point
 
 #: The paper's exhaustive 56-point grid, shared by the recovery tests.
 GRID_BANDWIDTHS = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
@@ -31,7 +32,7 @@ GRID_BANDWIDTHS = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
 @pytest.fixture(scope="module")
 def grid_best():
-    outcome = SweepExecutor().run(SweepSpec(bandwidths=GRID_BANDWIDTHS))
+    outcome = Engine().run(SweepSpec(bandwidths=GRID_BANDWIDTHS).jobs())
     points = [record_to_point(r) for r in outcome.ok_records]
     return {
         "edp": min(p.edp for p in points),

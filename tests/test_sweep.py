@@ -1,4 +1,4 @@
-"""Tests for repro.sweep — spec, cache, executor, store, report."""
+"""Tests for repro.sweep — spec, cache, store, report, and sweeps on the engine."""
 
 import json
 import subprocess
@@ -7,13 +7,12 @@ import sys
 import pytest
 
 from repro.core.explorer import Explorer
+from repro.engine import Engine, evaluate_job
 from repro.sweep import (
     Job,
     ResultCache,
     ResultStore,
-    SweepExecutor,
     SweepSpec,
-    evaluate_job,
     point_to_record,
     rank,
     record_to_point,
@@ -122,7 +121,7 @@ class TestJob:
             arch={"core_kge": 75.0},
             target_frequency_mhz=900.0,
         )
-        point = evaluate_job(job)
+        point = evaluate_job(job).to_design_point()
         record = json.loads(json.dumps(point_to_record(job, point)))
         assert Job.from_params(record["job"]) == job
         assert record_to_point(record) == point
@@ -164,9 +163,11 @@ def _fail_on_8mib(job):
 
 
 class TestSweepExecutor:
+    """A sweep is one :class:`Engine` run over the spec's jobs."""
+
     def test_serial_run_matches_explorer(self, tmp_path):
-        outcome = SweepExecutor(cache=ResultCache(tmp_path)).run(
-            SweepSpec(bandwidths=(16.0,))
+        outcome = Engine(cache=ResultCache(tmp_path)).run(
+            SweepSpec(bandwidths=(16.0,)).jobs()
         )
         assert outcome.stats.evaluated == 8
         assert outcome.stats.failed == 0
@@ -175,8 +176,8 @@ class TestSweepExecutor:
             assert point == serial[point.config.name]
 
     def test_parallel_equals_serial(self, tmp_path):
-        serial = SweepExecutor(workers=0).run(SMALL)
-        parallel = SweepExecutor(workers=2).run(SMALL)
+        serial = Engine(workers=0).run(SMALL.jobs())
+        parallel = Engine(workers=2).run(SMALL.jobs())
         assert serial.stats.evaluated == parallel.stats.evaluated == 8
         assert [r["key"] for r in serial.records] == [
             r["key"] for r in parallel.records
@@ -185,8 +186,8 @@ class TestSweepExecutor:
 
     def test_rerun_is_pure_cache_hits(self, tmp_path):
         cache = ResultCache(tmp_path)
-        first = SweepExecutor(cache=cache).run(SMALL)
-        second = SweepExecutor(cache=cache).run(SMALL)
+        first = Engine(cache=cache).run(SMALL.jobs())
+        second = Engine(cache=cache).run(SMALL.jobs())
         assert first.stats.evaluated == 8
         assert second.stats.evaluated == 0
         assert second.stats.cached == 8
@@ -194,32 +195,32 @@ class TestSweepExecutor:
 
     def test_cache_shared_between_worker_counts(self, tmp_path):
         cache = ResultCache(tmp_path)
-        SweepExecutor(cache=cache, workers=2).run(SMALL)
-        resumed = SweepExecutor(cache=cache, workers=0).run(SMALL)
+        Engine(cache=cache, workers=2).run(SMALL.jobs())
+        resumed = Engine(cache=cache, workers=0).run(SMALL.jobs())
         assert resumed.stats.evaluated == 0
 
     def test_resume_after_partial_failure(self, tmp_path):
         cache = ResultCache(tmp_path)
-        broken = SweepExecutor(cache=cache, evaluate=_fail_on_8mib).run(SMALL)
+        broken = Engine(cache=cache, evaluate=_fail_on_8mib).run(SMALL.jobs())
         assert broken.stats.failed == 4  # 8 MiB x 2 flows x 2 bandwidths
         assert broken.stats.evaluated == 8
         assert all("injected failure" in r["error"] for r in broken.failures)
         # Failures stayed out of the cache: the retry evaluates exactly them.
-        healed = SweepExecutor(cache=cache).run(SMALL)
+        healed = Engine(cache=cache).run(SMALL.jobs())
         assert healed.stats.cached == 4
         assert healed.stats.evaluated == 4
         assert healed.stats.failed == 0
 
     def test_parallel_failure_capture(self, tmp_path):
-        outcome = SweepExecutor(workers=2, evaluate=_fail_on_8mib).run(SMALL)
+        outcome = Engine(workers=2, evaluate=_fail_on_8mib).run(SMALL.jobs())
         assert outcome.stats.failed == 4
         assert len(outcome.ok_records) == 4
 
     def test_store_logs_every_record(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         store = ResultStore(tmp_path / "results.jsonl")
-        SweepExecutor(cache=cache, store=store).run(SMALL)
-        SweepExecutor(cache=cache, store=store).run(SMALL)
+        Engine(cache=cache, store=store).run(SMALL.jobs())
+        Engine(cache=cache, store=store).run(SMALL.jobs())
         records = store.load()
         assert len(records) == 16  # both runs logged, cache hits included
         assert {r["source"] for r in records} == {"evaluated", "cache"}
@@ -227,9 +228,9 @@ class TestSweepExecutor:
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            SweepExecutor(workers=-1)
+            Engine(workers=-1)
         with pytest.raises(ValueError):
-            SweepExecutor(chunksize=0)
+            Engine(chunksize=0)
 
 
 def _const_cycles(scenario):
@@ -251,7 +252,7 @@ class TestPluginSweepAcrossProcesses:
                 Job(capacity_mib=1, flow="3D", kernel="spawned_wl"),
                 Job(capacity_mib=2, flow="3D", kernel="spawned_wl"),
             ]
-            outcome = SweepExecutor(
+            outcome = Engine(
                 workers=2, mp_context=multiprocessing.get_context("spawn")
             ).run(jobs)
             assert outcome.stats.failed == 0
@@ -272,7 +273,7 @@ class TestPluginSweepAcrossProcesses:
         register_workload("lambda_wl")(lambda scenario: 1.0)
         try:
             jobs = [Job(capacity_mib=1, flow="2D", kernel="lambda_wl")]
-            outcome = SweepExecutor(
+            outcome = Engine(
                 workers=2, mp_context=multiprocessing.get_context("spawn")
             ).run(jobs)
             assert outcome.stats.failed == 1
@@ -284,7 +285,7 @@ class TestPluginSweepAcrossProcesses:
 class TestRecords:
     def test_point_record_roundtrip(self):
         job = Job(capacity_mib=2, flow="3D", bandwidth=8)
-        point = evaluate_job(job)
+        point = evaluate_job(job).to_design_point()
         rebuilt = record_to_point(
             json.loads(json.dumps(point_to_record(job, point)))
         )
@@ -320,7 +321,7 @@ class TestResultStore:
 class TestReport:
     @pytest.fixture(scope="class")
     def records(self):
-        return SweepExecutor().run(SMALL).records
+        return Engine().run(SMALL.jobs()).records
 
     def test_rank_orders_by_objective(self, records):
         ranked = rank(records, "edp")
