@@ -18,6 +18,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "memory_map": ("BankAddress", "MemoryMap"),
     "scoreboard": ("ScoreboardSnitchCore",),
     "snitch": ("CoreState", "CoreStats", "SnitchCore"),
-    "spm": ("SPMBank", "TileSPM"),
+    "spm": ("BankArray", "SPMBank", "TileSPM"),
     "tile": ("Tile", "TileInventory"),
 })

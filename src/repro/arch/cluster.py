@@ -18,7 +18,10 @@ from .icache import InstructionCache
 from .isa import Program
 from .memory_map import MemoryMap
 from .snitch import SnitchCore
+from .spm import BankArray
 from .tile import Tile
+
+_MASK = 0xFFFFFFFF
 
 
 class Barrier:
@@ -90,8 +93,11 @@ class MemPoolCluster:
         self.config = config
         self.arch = arch or config.arch
         words_per_bank = config.bank_bytes // self.arch.word_bytes
+        #: The whole SPM: every tile's banks are views into this array.
+        self.spm = BankArray(self.arch.num_banks, words_per_bank)
         self.groups = [
-            Group(g, words_per_bank, self.arch) for g in range(self.arch.groups)
+            Group(g, words_per_bank, self.arch, self.spm)
+            for g in range(self.arch.groups)
         ]
         self.memory_map = MemoryMap(config.spm_bytes, self.arch)
         self.router = FabricRouter(self.tiles, self.memory_map, self.arch)
@@ -163,37 +169,26 @@ class MemPoolCluster:
         """
         import numpy as np
 
-        banks = [
-            bank.export_words()
-            for tile in self.tiles
-            for bank in tile.spm.banks
-        ]
-        # banks[flat_tile * banks_per_tile + bank][offset]; word index is
-        # offset-major, then tile, then bank — exactly the transpose.
-        return np.array(banks, dtype=np.int64).T.reshape(-1)
+        store = self.spm.words
+        out = np.zeros(self.spm.total_words, dtype=np.int64)
+        out[np.fromiter(store.keys(), np.int64, len(store))] = np.fromiter(
+            store.values(), np.int64, len(store)
+        )
+        return out
 
     def import_spm(self, words) -> None:
         """Inverse of :meth:`export_spm`: bulk-replace the SPM contents."""
         import numpy as np
 
-        words_per_bank = self.memory_map.words_per_bank
-        num_banks = self.arch.num_banks
-        arr = np.asarray(words, dtype=np.int64).reshape(words_per_bank, num_banks).T
-        flat = 0
-        for tile in self.tiles:
-            for bank in tile.spm.banks:
-                bank.import_words(arr[flat].tolist())
-                flat += 1
+        image = np.asarray(words, dtype=np.int64).reshape(
+            self.memory_map.words_per_bank, self.arch.num_banks
+        ).ravel() & _MASK
+        written = np.flatnonzero(image)
+        store = self.spm.words
+        store.clear()
+        store.update(zip(written.tolist(), image[written].tolist()))
 
     # -- memory helpers ----------------------------------------------------
-    def _flat_banks(self) -> list:
-        """All SPM banks by flat bank id (cached: the structure is fixed)."""
-        banks = self.__dict__.get("_flat_banks_cache")
-        if banks is None:
-            banks = [bank for tile in self.tiles for bank in tile.spm.banks]
-            self.__dict__["_flat_banks_cache"] = banks
-        return banks
-
     def _check_span(self, byte_address: int, count: int) -> None:
         """Validate a word-aligned span (same errors as ``decode``)."""
         if byte_address % self.arch.word_bytes:
@@ -203,7 +198,11 @@ class MemPoolCluster:
                 raise ValueError(f"address {edge:#x} outside SPM")
 
     def write_words(self, byte_address: int, words: list[int]) -> None:
-        """Back-door write into the SPM (test/workload setup)."""
+        """Back-door write into the SPM (test/workload setup).
+
+        With 32-bit words the byte address // 4 is the word's index in
+        the SPM's word dict, so a span is one dict update.
+        """
         if not words:
             return
         if self.arch.word_bytes != 4:  # exotic widths: decode per word
@@ -214,15 +213,17 @@ class MemPoolCluster:
                 )
             return
         self._check_span(byte_address, len(words))
-        banks = self._flat_banks()
-        stride = self.arch.banks_per_tile * self.arch.num_tiles
-        word_index = byte_address // 4
-        for word in words:
-            banks[word_index % stride].poke(word_index // stride, word)
-            word_index += 1
+        first = byte_address // 4
+        self.spm.words.update(zip(
+            range(first, first + len(words)), [word & _MASK for word in words]
+        ))
 
     def read_words(self, byte_address: int, count: int) -> list[int]:
-        """Back-door read from the SPM."""
+        """Back-door read from the SPM; unwritten words read 0.
+
+        With 32-bit words the byte address // 4 is the word's index in
+        the SPM's word dict, so a span is one lookup per word.
+        """
         if count <= 0:
             return []
         if self.arch.word_bytes != 4:  # exotic widths: decode per word
@@ -236,11 +237,6 @@ class MemPoolCluster:
                 )
             ]
         self._check_span(byte_address, count)
-        banks = self._flat_banks()
-        stride = self.arch.banks_per_tile * self.arch.num_tiles
-        word_index = byte_address // 4
-        out = []
-        for _ in range(count):
-            out.append(banks[word_index % stride].peek(word_index // stride))
-            word_index += 1
-        return out
+        get = self.spm.words.get
+        first = byte_address // 4
+        return [get(index, 0) for index in range(first, first + count)]

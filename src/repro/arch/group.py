@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from ..core.config import ArchParams, DEFAULT_ARCH
 from ..interconnect.butterfly import ButterflyNetwork
+from .spm import BankArray
 from .tile import Tile
 
 #: Names of the four per-group interconnect directions.
@@ -23,6 +24,8 @@ class Group:
         group_id: Group index within the cluster.
         words_per_bank: SPM bank depth in words.
         arch: Architectural parameters.
+        banks: The cluster's bank array (without one the group gets a
+            cluster-sized array of its own).
     """
 
     def __init__(
@@ -30,14 +33,18 @@ class Group:
         group_id: int,
         words_per_bank: int,
         arch: ArchParams = DEFAULT_ARCH,
+        banks: BankArray | None = None,
     ) -> None:
         if not 0 <= group_id < arch.groups:
             raise ValueError("group id out of range")
         self.group_id = group_id
         self.arch = arch
+        if banks is None:
+            banks = BankArray(arch.num_banks, words_per_bank)
         base = group_id * arch.tiles_per_group
         self.tiles = [
-            Tile(base + i, words_per_bank, arch) for i in range(arch.tiles_per_group)
+            Tile(base + i, words_per_bank, arch, banks)
+            for i in range(arch.tiles_per_group)
         ]
         self.interconnects = {
             name: ButterflyNetwork(ports=arch.tiles_per_group, radix=4)

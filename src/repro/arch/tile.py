@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from ..core.config import ArchParams, DEFAULT_ARCH
 from .icache import InstructionCache
-from .spm import SPMBank, TileSPM
+from .spm import BankArray, SPMBank, TileSPM
 
 
 @dataclass
@@ -34,6 +34,9 @@ class Tile:
         tile_id: Flat tile index within the cluster.
         words_per_bank: SPM bank depth in 32-bit words.
         arch: Architectural parameters.
+        banks: The cluster's bank array, whose banks ``tile_id *
+            banks_per_tile`` on are this tile's; without one the tile
+            gets an array of its own.
     """
 
     def __init__(
@@ -41,12 +44,18 @@ class Tile:
         tile_id: int,
         words_per_bank: int,
         arch: ArchParams = DEFAULT_ARCH,
+        banks: BankArray | None = None,
     ) -> None:
         if tile_id < 0:
             raise ValueError("tile id must be non-negative")
         self.tile_id = tile_id
         self.arch = arch
-        self.spm = TileSPM.build(arch.banks_per_tile, words_per_bank)
+        if banks is None:
+            self.spm = TileSPM.build(arch.banks_per_tile, words_per_bank)
+        else:
+            self.spm = TileSPM(
+                banks, tile_id * arch.banks_per_tile, arch.banks_per_tile
+            )
         self.icache = InstructionCache(capacity_bytes=arch.icache_bytes_per_tile)
         self.port_stats = TilePortStats()
 

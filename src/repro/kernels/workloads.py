@@ -37,6 +37,18 @@ class WorkloadRun:
 FinishFn = Callable[[object], WorkloadRun]
 
 
+def _new_cluster(config: MemPoolConfig) -> MemPoolCluster:
+    """The empty cluster a ``prepare_*`` kernel fills.
+
+    The fast simulator is imported first: a module first imported while
+    a cluster is alive allocates among the cluster's objects, so the
+    process could not hand those pages back once the cluster is freed.
+    """
+    from ..simulator import fast  # noqa: F401
+
+    return MemPoolCluster(config)
+
+
 def dotp_program(
     num_elements: int, num_cores: int, base_a: int, base_b: int, base_out: int
 ) -> Program:
@@ -305,7 +317,7 @@ def prepare_matvec(
     base_x = 4 * rows * cols
     base_y = base_x + 4 * cols
 
-    cluster = MemPoolCluster(config)
+    cluster = _new_cluster(config)
     cluster.write_words(base_m, (m & 0xFFFFFFFF).ravel().tolist())
     cluster.write_words(base_x, (x & 0xFFFFFFFF).tolist())
     cluster.load_program(
@@ -362,7 +374,7 @@ def prepare_stencil5(
         - image[1:-1, 2:]
     )
 
-    cluster = MemPoolCluster(config)
+    cluster = _new_cluster(config)
     cluster.write_words(base_in, (image & 0xFFFFFFFF).ravel().tolist())
     cluster.load_program(
         stencil5_program(width, height, num_cores, base_in, base_out),
@@ -411,7 +423,7 @@ def prepare_dotp(
     base_a, base_b = 0, 4 * num_elements
     base_out = 8 * num_elements
 
-    cluster = MemPoolCluster(config)
+    cluster = _new_cluster(config)
     cluster.write_words(base_a, (a & 0xFFFFFFFF).tolist())
     cluster.write_words(base_b, (b & 0xFFFFFFFF).tolist())
     cluster.load_program(
@@ -459,7 +471,7 @@ def prepare_axpy(
     y = rng.integers(-100, 100, size=num_elements, dtype=np.int64)
     base_x, base_y = 0, 4 * num_elements
 
-    cluster = MemPoolCluster(config)
+    cluster = _new_cluster(config)
     cluster.write_words(base_x, (x & 0xFFFFFFFF).tolist())
     cluster.write_words(base_y, (y & 0xFFFFFFFF).tolist())
     cluster.load_program(
@@ -518,7 +530,7 @@ def prepare_conv2d(
         for dc in range(3):
             expected += kernel[dr, dc] * image[dr : dr + out_h, dc : dc + out_w]
 
-    cluster = MemPoolCluster(config)
+    cluster = _new_cluster(config)
     cluster.write_words(base_in, (image & 0xFFFFFFFF).ravel().tolist())
     cluster.write_words(base_kernel, (kernel & 0xFFFFFFFF).ravel().tolist())
     cluster.load_program(

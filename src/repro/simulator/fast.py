@@ -8,10 +8,17 @@ times faster:
 
 * **Structure-of-arrays state.**  Core state lives in parallel arrays
   (program counters, register files, wake-up times, stall counters)
-  instead of per-core objects, and SPM words are read through into one
-  word-indexed image on first touch, so the hot loop runs without
-  attribute churn, dataclass construction, or the router/tile/bank call
-  chain of the reference model.
+  instead of per-core objects, and the SPM is the cluster's own
+  structure-of-arrays :class:`~repro.arch.spm.BankArray`, addressed by
+  word index, so the hot loop runs without attribute churn, dataclass
+  construction, or the router/tile/bank call chain of the reference
+  model.
+* **Read-through, write-back.**  A run writes nothing to the cluster
+  before it ends.  Stores go to a run-local dict, which a load reads
+  before the SPM's word dict (``words.get(word, 0)``); busy cycles and
+  bank counters go to run-local lists.  At the end one dict update
+  writes the stores back, one slice assignment the busy cycles, and
+  three element-wise sums the counters.
 * **Run-ahead stepping.**  Only loads, stores, barriers and halts touch
   state another core can see; ALU ops, jumps and branches are core-local
   (Snitch is single-issue and in order, and a load's data is read at
@@ -54,15 +61,19 @@ from __future__ import annotations
 
 from bisect import insort
 from heapq import heappop, heappush
+from operator import add
 
 from ..arch.isa import Op, Program
 from ..arch.scoreboard import ScoreboardSnitchCore
 from ..arch.snitch import CoreState, SnitchCore
 from .engine import Engine, SimulationResult, SimulationTimeout
 
-# Integer opcodes of the decoded SoA program image.
-(_LI, _ADD, _SUB, _ADDI, _MUL, _MAC, _LW, _SW, _LWP, _SWP, _BNE, _BLT,
- _J, _BARRIER, _CSRR, _NOP, _HALT) = range(17)
+# Integer opcodes of the decoded SoA program image.  The memory ops come
+# first, so one comparison recognises each class: ``code <= _SWP`` a
+# memory op, ``code <= _SW`` its immediate-offset form, ``code & 1`` a
+# store.
+(_LW, _SW, _LWP, _SWP, _ADD, _LI, _MUL, _MAC, _BNE, _BLT, _ADDI, _SUB,
+ _J, _CSRR, _NOP, _BARRIER, _HALT) = range(17)
 
 _CODE = {
     Op.LI: _LI, Op.ADD: _ADD, Op.SUB: _SUB, Op.ADDI: _ADDI, Op.MUL: _MUL,
@@ -254,18 +265,16 @@ class FastEngine:
         lat_cluster = arch.cluster_latency
         spm_bytes = memory_map.spm_bytes
         num_banks = arch.num_banks
-        words_stride = bpt * ntiles  # word index -> bank offset divisor
 
         # -- SPM image and arbitration state ----------------------------
-        # The memory image holds only the words this run touches: a load
-        # reads through from its bank on first touch, and every touched
-        # word is poked back at the end.  Banks store only written words,
-        # so neither side grows with the SPM capacity.
+        # ``mem`` holds the words this run stores, by word index (the
+        # byte address // 4, which is also the key of the cluster's SPM
+        # word dict); a load reads ``mem`` first, then the SPM.  Nothing
+        # is written to the cluster before the run ends, so a fault
+        # leaves it as it was.
         mem: dict[int, int] = {}
-        flat_banks = [
-            bank for tile in cluster.tiles for bank in tile.spm.banks
-        ]
-        bank_busy = [bank.busy_cycle for bank in flat_banks]
+        spm_get = cluster.spm.words.get
+        bank_busy = cluster.spm.busy[:]
         b_reads = [0] * num_banks
         b_writes = [0] * num_banks
         b_conf = [0] * num_banks
@@ -383,8 +392,7 @@ class FastEngine:
             else:
                 data = mem.get(word)
                 if data is None:
-                    data = flat_banks[flat_bank].peek(word // words_stride)
-                    mem[word] = data
+                    data = spm_get(word, 0)
                 b_reads[flat_bank] += 1
             if tile == src_tile:
                 local_req[tile] += 1
@@ -457,7 +465,7 @@ class FastEngine:
                         st_bar, st_ic, st_conflict,
                     )
                     self._write_back(
-                        mem, flat_banks, bank_busy, b_reads, b_writes, b_conf,
+                        mem, bank_busy, b_reads, b_writes, b_conf,
                         port_cur, port_use, local_req, remote_in,
                         local_acc, group_acc, cluster_acc, bank_conf,
                         port_conf, cores, sb, regs, pc, state, stall_until,
@@ -571,13 +579,13 @@ class FastEngine:
                         done = 0
                         while True:
                             code, rd, rs1, rs2, imm, target, _hz = prog[p]
-                            if _LW <= code <= _SWP:
+                            if code <= _SWP:
                                 if t != cycle:
                                     break
                                 # the fabric walk (decode, port claim, bank
                                 # arbitration, latency class) of route(),
                                 # inlined for the plain-core hot path
-                                if code == _LW or code == _SW:
+                                if code <= _SW:
                                     address = (regs_i[rs1] + imm) & _MASK
                                 else:
                                     address = regs_i[rs1]
@@ -623,7 +631,7 @@ class FastEngine:
                                         lat = lat_cluster
                                 done += 1
                                 p += 1
-                                if code == _SW or code == _SWP:
+                                if code & 1:
                                     mem[word] = regs_i[rs2] & _MASK
                                     b_writes[flat_bank] += 1
                                     if code == _SWP and rs1:
@@ -642,10 +650,7 @@ class FastEngine:
                                 else:
                                     data = mem.get(word)
                                     if data is None:
-                                        data = flat_banks[flat_bank].peek(
-                                            word // words_stride
-                                        )
-                                        mem[word] = data
+                                        data = spm_get(word, 0)
                                     b_reads[flat_bank] += 1
                                     if code == _LWP and rs1:
                                         regs_i[rs1] = (regs_i[rs1] + imm) & _MASK
@@ -990,7 +995,7 @@ class FastEngine:
 
         self.cycle = cycle + 1
         self._write_back(
-            mem, flat_banks, bank_busy, b_reads, b_writes, b_conf, port_cur,
+            mem, bank_busy, b_reads, b_writes, b_conf, port_cur,
             port_use, local_req, remote_in, local_acc, group_acc,
             cluster_acc, bank_conf, port_conf, cores, sb, regs, pc, state,
             stall_until, pend_reg, pend_data, pending, release, icaches,
@@ -1042,7 +1047,7 @@ class FastEngine:
                     icaches[i].stats.hits += gap
 
     # ------------------------------------------------------------------
-    def _write_back(self, mem, flat_banks, bank_busy, b_reads, b_writes,
+    def _write_back(self, mem, bank_busy, b_reads, b_writes,
                     b_conf, port_cur, port_use, local_req,
                     remote_in, local_acc, group_acc, cluster_acc, bank_conf,
                     port_conf, cores, sb, regs, pc, state, stall_until,
@@ -1052,15 +1057,12 @@ class FastEngine:
                     idle_cycles: int = 0) -> None:
         """Mirror the SoA state back onto the cluster's objects."""
         cluster = self.cluster
-        arch = cluster.arch
-        words_stride = arch.banks_per_tile * arch.num_tiles
-        for word, value in mem.items():
-            flat_banks[word % words_stride].poke(word // words_stride, value)
-        for flat, bank in enumerate(flat_banks):
-            bank.busy_cycle = bank_busy[flat]
-            bank.stats.reads += b_reads[flat]
-            bank.stats.writes += b_writes[flat]
-            bank.stats.conflicts += b_conf[flat]
+        spm = cluster.spm
+        spm.words.update(mem)
+        spm.busy[:] = bank_busy
+        spm.reads[:] = map(add, spm.reads, b_reads)
+        spm.writes[:] = map(add, spm.writes, b_writes)
+        spm.conflicts[:] = map(add, spm.conflicts, b_conf)
         for tile_id, tile in enumerate(cluster.tiles):
             tile.port_stats.local_requests += local_req[tile_id]
             tile.port_stats.remote_in_requests += remote_in[tile_id]
