@@ -55,7 +55,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "Searcher", "Strategy", "available_strategies", "get_strategy",
         "paper_space", "register_strategy",
     ),
-    "service": ("RemoteBackend", "ReproService"),
+    "service": ("ReproService",),
     "client": ("ServiceClient", "ServiceError"),
 })
 __all__ = ["__version__", *__all__]

@@ -1,7 +1,7 @@
 """REP005 — registry integrity.
 
-The lazy ``repro.*`` surface and the worker hello-protocol both assume
-every registration is visible at module import: ``@register_flow`` at
+The lazy ``repro.*`` surface and ``spawn``-started process workers both
+assume every registration is visible at module import: ``@register_flow`` at
 module level runs when the module loads; the same decorator buried in a
 function body runs *maybe*, *sometimes*, in *some* processes — workers
 spawned before the call silently lack the plugin.  Names must also be

@@ -1,7 +1,7 @@
 """REP006 — worker pickle-safety.
 
-The process and remote backends ship work (and the flow/workload
-registries, via ``_picklable_items``) across a pickle boundary.  Pickle
+The ``process`` backend ships work (and the flow/workload registries,
+via ``_picklable_items``) to its workers across a pickle boundary.  Pickle
 serializes functions *by reference* — ``module.qualname`` — so lambdas
 and function-scoped defs do not survive the trip.  Worse, the failure
 is silent by design: ``_picklable_items`` drops them from the worker's
@@ -14,9 +14,9 @@ Two defect shapes are flagged:
   (``submit`` / ``map`` / ``apply_async`` / ``imap*``, or a
   ``Process(target=...)``);
 * a lambda or nested def registered as a flow/workload — those two
-  registries cross the boundary in the hello protocol (objectives stay
-  server-side and are exempt; ``_seed_objectives`` registers lambdas on
-  purpose).
+  registries cross the boundary when a worker starts (objectives stay
+  in the parent and are exempt; ``_seed_objectives`` registers lambdas
+  on purpose).
 """
 
 from __future__ import annotations
@@ -99,8 +99,8 @@ class WorkerPickleSafety(BaseLint):
                 ctx,
                 arg,
                 f"{label} crosses the worker boundary via {where}(...): "
-                f"pickle serializes functions by reference, so process/remote "
-                f"backends cannot reconstruct it",
+                f"pickle serializes functions by reference, so process "
+                f"workers cannot reconstruct it",
                 hint="move the callable to module level (thread-only pools "
                 "may suppress with # repro: ignore[REP006])",
             )
@@ -139,7 +139,7 @@ class WorkerPickleSafety(BaseLint):
                 ctx,
                 deco,
                 f"function-scoped def {fn.name!r} registered as {kind}: it "
-                f"cannot pickle by reference, so process/remote workers "
+                f"cannot pickle by reference, so process workers "
                 f"silently lose it",
                 hint="move the def (and its registration) to module level",
             )

@@ -8,8 +8,9 @@ implemented exactly once:
 
 * :mod:`~repro.engine.backends` — the :class:`ExecutionBackend` plugin
   registry (``@register_backend``; the fifth registry) holding the
-  ``serial``, ``thread``, and ``process`` backends, plus ``remote``,
-  whose module the registry loads only when that name is looked up;
+  ``serial``, ``thread``, and ``process`` backends; ``process`` runs
+  supervised worker processes, so a worker that dies or hangs costs a
+  requeue of its jobs, not the batch;
 * :mod:`~repro.engine.cache` — the caching tiers: a bounded in-memory
   :class:`LRUCache` layered over the content-addressed on-disk
   :class:`~repro.sweep.cache.ResultCache`, plus the :class:`StageCache`

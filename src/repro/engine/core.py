@@ -150,13 +150,16 @@ class Engine:
             ``process`` built in), an :class:`ExecutionBackend` class or
             instance, or ``None`` (the default) for ``process`` when
             ``workers > 1`` and ``serial`` otherwise — so a plain
-            ``Engine(workers=8)`` actually uses its workers.
-        workers: Worker count for pool backends (0 = one per core).
+            ``Engine(workers=8)`` actually uses its workers, and a worker
+            process that dies costs a requeue of its jobs, not the batch.
+        workers: Worker count for the ``thread`` and ``process`` backends
+            (0 = one per core).
         cache: Persistent tier — a :class:`ResultCache`, a ready
             :class:`TieredCache`, or ``None`` for in-memory-only caching.
         lru_size: Bound of the in-memory tier (0 disables it).
-        evaluate: Evaluation function ``evaluate(job)`` (must be a
-            picklable top-level callable for process backends).  It may
+        evaluate: Evaluation function ``evaluate(job)`` (must pickle,
+            as a top-level callable, for ``process`` workers started by
+            ``spawn`` or ``forkserver``).  It may
             return any object with the eight metric attributes
             :func:`~repro.sweep.store.point_to_record` reads — a
             :class:`~repro.api.RunResult`, as the default
@@ -166,8 +169,8 @@ class Engine:
             cache hits included.
         on_result: Optional default progress callback, called as
             ``on_result(done, total, record)`` after every completion.
-        mp_context: Multiprocessing context for process backends.
-        chunksize: Explicit chunk size for chunking backends.
+        mp_context: Multiprocessing context for the ``process`` backend
+            (``None``: the platform's default start method).
         trace: Arm :mod:`repro.obs.trace` for this process — ``True``
             uses the default sink (or ``REPRO_TRACE_FILE``), a path
             redirects it.  ``None`` (default) leaves the ambient state
@@ -197,14 +200,13 @@ class Engine:
         store: Optional[ResultStore] = None,
         on_result: Optional[ProgressCallback] = None,
         mp_context=None,
-        chunksize: Optional[int] = None,
         trace: Union[bool, str, Path, None] = None,
         stage_cache: bool = True,
         sim_engine: str = "fast",
     ) -> None:
         self.sim_engine = check_engine(sim_engine)
         self.backend = resolve_backend(
-            backend, workers=workers, mp_context=mp_context, chunksize=chunksize
+            backend, workers=workers, mp_context=mp_context
         )
         if trace:
             _trace.enable(None if trace is True else trace)

@@ -10,8 +10,8 @@ JSONL sink whose records reconstruct the full engine → backend → worker
   boolean check returning a shared no-op singleton (the racecheck
   idiom), so the hot paths stay hot.
 * **Context crosses process pools.**  Thread-locals do not survive
-  pickling, so the process backend ships a :func:`envelope` (trace id,
-  parent span id, sink path) inside each chunk's work item and workers
+  pickling, so the process backend hands each worker it starts an
+  :func:`envelope` (trace id, parent span id, sink path) and workers
   :func:`adopt` it — their spans re-parent to the submitting span and
   append to the same sink file (the multi-writer append discipline the
   caches already rely on: one ``O_APPEND`` write per record).
@@ -286,9 +286,10 @@ class _Adoption:
 def adopt(env: Optional[dict]):
     """Adopt a shipped envelope: arm this process and re-parent to it.
 
-    Used by process-pool workers around each chunk; a ``None`` envelope
-    (tracing disarmed at submission) is a no-op.  Restores the previous
-    armed state on exit so in-process callers can nest it safely.
+    Used by process-backend workers around their chunk loop; a ``None``
+    envelope (tracing disarmed at submission) is a no-op.  Restores the
+    previous armed state on exit so in-process callers can nest it
+    safely.
     """
     return _Adoption(env)
 

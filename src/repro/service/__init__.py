@@ -8,13 +8,10 @@ long-running system:
   streaming results as NDJSON, applying backpressure when full, and
   draining gracefully on SIGTERM;
 * :mod:`~repro.service.jobs` — the in-memory job table (states,
-  progress, cancellation, result buffers);
-* :mod:`~repro.service.pool` — :class:`RemoteBackend`, the ``remote``
-  execution backend sharding jobs across worker subprocesses or hosts
-  with per-job timeouts, bounded retries, and worker-death recovery;
-* :mod:`~repro.service.worker` — the worker process serving the
-  NDJSON wire protocol (:mod:`~repro.service.protocol`) over stdio or
-  TCP.
+  progress, cancellation, result buffers).
+
+Evaluations run on the engine's backends (``repro serve --backend``);
+``process`` workers that die or hang cost a requeue of their jobs.
 
 The matching client SDK lives in :mod:`repro.client`.
 
@@ -27,17 +24,14 @@ Quick start::
 
 Names resolve lazily (PEP 562, :mod:`repro._lazy`): importing the
 package imports none of its submodules, and the first access of an
-exported name imports the one submodule that defines it.  The engine's
-backend registry imports :mod:`~repro.service.pool` when ``remote`` is
-first asked for, and importing the server here (which itself builds on
-the engine) would close an import cycle.
+exported name imports the one submodule that defines it.  Importing
+the server here (which itself builds on the engine) would close an
+import cycle.
 """
 
 from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "jobs": ("JobState", "ServiceJob"),
-    "pool": ("RemoteBackend",),
-    "protocol": ("PROTOCOL_VERSION",),
     "server": ("ReproService",),
 })

@@ -17,8 +17,8 @@ engine:
   objectives the serial explorer uses.
 
 The sweep itself runs on :class:`repro.engine.Engine` (pluggable
-serial/thread/process/remote backends, two-tier cache, per-job error
-capture, resume-by-retry of failures).  Quick start::
+serial/thread/process backends, two-tier cache, per-job error capture,
+resume-by-retry of failures).  Quick start::
 
     from repro.engine import Engine
     from repro.sweep import ResultCache, SweepSpec

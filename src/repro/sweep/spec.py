@@ -44,7 +44,7 @@ class Job:
     A job is a view of one validated :class:`~repro.api.Scenario` plus
     its :attr:`key`, computed once at construction for the evaluation
     :attr:`engine` the job is built for (``"fast"`` unless
-    :meth:`from_scenario` or :meth:`from_params` names another): the
+    :meth:`from_scenario` names another): the
     scenario's :meth:`~repro.api.Scenario.cache_key_for` that engine.
     An :class:`~repro.engine.Engine` re-keys a job built for another
     engine, and matches records to jobs by this key.  Jobs compare and
@@ -129,15 +129,9 @@ class Job:
         return self._scenario.phase_params()
 
     @classmethod
-    def from_params(
-        cls, params: dict[str, object], engine: str = "fast"
-    ) -> "Job":
-        """Rebuild a job from :meth:`params` output (e.g. a store record),
-        keyed for evaluation engine ``engine``."""
-        job = cls(**params)
-        if engine != job.engine:
-            job._adopt(job._scenario, engine)
-        return job
+    def from_params(cls, params: dict[str, object]) -> "Job":
+        """Rebuild a job from :meth:`params` output (e.g. a store record)."""
+        return cls(**params)
 
 
 @dataclass(frozen=True)

@@ -265,9 +265,8 @@ class TestEngineTier0:
 
     @pytest.mark.parametrize(
         "backend,context",
-        [("thread", None), ("process", "fork"), ("process", "spawn"),
-         ("remote", None)],
-        ids=["thread", "process-fork", "process-spawn", "remote"],
+        [("thread", None), ("process", "fork"), ("process", "spawn")],
+        ids=["thread", "process-fork", "process-spawn"],
     )
     def test_every_backend_stores_predictions(self, tmp_path, backend,
                                               context):

@@ -292,12 +292,14 @@ class TestRunCommand:
 
 BAD_NAMES = [
     pytest.param(["sweep", "--backend", "batched"], id="sweep-backend"),
+    pytest.param(["sweep", "--backend", "remote"], id="sweep-backend-remote"),
     pytest.param(["sweep", "--kernels", "fft"], id="sweep-kernels"),
     pytest.param(["search", "--backend", "batched"], id="search-backend"),
     pytest.param(["search", "--strategy", "nope"], id="search-strategy"),
     pytest.param(["search", "--objectives", "beauty"],
                  id="search-objectives"),
     pytest.param(["serve", "--backend", "batched"], id="serve-backend"),
+    pytest.param(["serve", "--backend", "remote"], id="serve-backend-remote"),
 ]
 
 
@@ -403,6 +405,7 @@ class TestListCommand:
         for name in ("serial", "thread", "process"):
             assert name in out
         assert "batched" not in out
+        assert "remote" not in out
 
     def test_sweep_kernels_axis_parses(self):
         args = build_parser().parse_args(["sweep", "--kernels", "matmul,dotp"])

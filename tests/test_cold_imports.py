@@ -18,15 +18,17 @@ import pytest
 
 import repro
 
+#: Standard-library modules that a serial engine never needs.
+STDLIB = ("multiprocessing", "socket", "subprocess")
+
 #: Loaded by none of the stages before the simulated point.
-HEAVY = (
+HEAVY = STDLIB + (
     "numpy",
     "repro.simulator.fast",
     "repro.obs.report",
     "repro.kernels.blocked",
     "repro.kernels.matmul",
     "repro.kernels.transforms",
-    "repro.service.pool",
 )
 
 #: Not loaded by ``import repro, repro.api, repro.engine`` either.
@@ -35,11 +37,12 @@ NOT_AT_IMPORT = HEAVY + (
     "repro.arch.cluster",
 )
 
-_SCRIPT = """
+_SCRIPT = f"STDLIB = {STDLIB!r}" + """
 import json, sys
 
 def loaded():
-    return sorted(m for m in sys.modules if m == "numpy" or m.startswith("repro"))
+    return sorted(m for m in sys.modules
+                  if m in STDLIB or m == "numpy" or m.startswith("repro"))
 
 stages = {}
 import repro

@@ -63,7 +63,7 @@ class TestBackendRegistry:
 
         @register_backend("recording")
         class RecordingBackend:
-            def __init__(self, workers=0, mp_context=None, chunksize=None):
+            def __init__(self, workers=0, mp_context=None):
                 pass
 
             def run(self, evaluate, jobs):

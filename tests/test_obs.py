@@ -136,9 +136,7 @@ class TestTracePropagation:
         sink = tmp_path / "t.jsonl"
         trace.enable(sink)
         with trace.span("test.root"):
-            outcome = Engine(
-                backend="process", workers=2, chunksize=1
-            ).run(_scenarios(2))
+            outcome = Engine(backend="process", workers=2).run(_scenarios(2))
         trace.disable()
         assert outcome.stats.failed == 0
         spans = trace.read_spans(sink)

@@ -323,7 +323,6 @@ class TestPublicSurface:
 
         assert repro.ReproService is ReproService
         assert repro.ServiceClient is ServiceClient
-        assert repro.RemoteBackend.name == "remote"
 
     def test_service_package_exports(self):
         import repro.service as service_pkg

@@ -229,8 +229,6 @@ class TestSweepExecutor:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             Engine(workers=-1)
-        with pytest.raises(ValueError):
-            Engine(chunksize=0)
 
 
 def _const_cycles(scenario):
