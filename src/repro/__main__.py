@@ -542,12 +542,12 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     """Fetch a running service's metrics (``GET /v1/metrics``)."""
     from .client import ServiceClient, ServiceError
 
-    client = ServiceClient(args.url)
     try:
-        if args.prometheus:
-            sys.stdout.write(client.metrics_text())
-        else:
-            print(json.dumps(client.metrics(), indent=2, sort_keys=True))
+        with ServiceClient(args.url) as client:
+            if args.prometheus:
+                sys.stdout.write(client.metrics_text())
+            else:
+                print(json.dumps(client.metrics(), indent=2, sort_keys=True))
     except (ServiceError, ConnectionError) as exc:
         print(f"repro metrics: {exc}", file=sys.stderr)
         return 1

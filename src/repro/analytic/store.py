@@ -202,9 +202,10 @@ class CalibrationStore:
 
     def put(self, record: CalibrationRecord) -> None:
         """Persist a freshly-fitted record (locked read-check-append)."""
+        data = record.to_json()
         try:
             self.journal.append(
-                [(record.key, record, encode_line(record.to_json()))],
+                [(record.key, data, encode_line(data))],
                 present=lambda existing: existing is not None,
             )
         except OSError:
@@ -225,7 +226,7 @@ class CalibrationStore:
         self._records[record.key] = record
 
 
-def _calibration_entry(record: dict):
+def _calibration_entry(record: dict, span: Optional[int]):
     entry = CalibrationRecord.from_json(record)
     return entry.key, entry
 

@@ -39,11 +39,18 @@ from typing import Optional
 
 from ..analysis import racecheck as _racecheck
 from ..api import scenario as _scenario
-from ..sweep.cache import Journal, ResultCache, _FileLock, encode_line
+from ..sweep.cache import (
+    Journal,
+    ResultCache,
+    _FileLock,
+    encode_line,
+    latest_records,
+)
 from ..sweep.spec import Job
 
-#: Default bound of the in-memory tier.  Records are small dicts (a few
-#: hundred bytes), so the default costs at most a few megabytes.
+#: Default bound of the in-memory tier, the only one that keeps records
+#: in memory.  A record costs about 1 KB there, so the default costs a
+#: few megabytes.
 DEFAULT_LRU_SIZE = 4096
 
 #: Sidecar file (inside the cache directory) accumulating hit counters.
@@ -116,13 +123,13 @@ class GroupCommit:
     one ``O_APPEND`` write, and no descriptor held between commits.  A
     pool worker forked mid-batch inherits the open batch but is another
     process, so it writes its own lines at once.  ``pending`` keeps
-    queued entries visible to lookups until they are on disk; a failed
+    queued records visible to lookups until they are on disk; a failed
     write leaves them queued for the next commit.
     """
 
     def __init__(self, journal: Journal) -> None:
         self.journal = journal
-        self.pending: dict[str, tuple[object, bytes]] = {}
+        self.pending: dict[str, tuple[dict, bytes]] = {}
         self._open = 0
         self._pid = 0
         self._lock = threading.Lock()
@@ -135,15 +142,15 @@ class GroupCommit:
             self._open += 1
             self._pid = os.getpid()
 
-    def offer(self, key: str, entry: object, record: dict) -> bool:
-        """Queue one entry if a batch is open here; ``False``: write it now."""
+    def offer(self, key: str, record: dict) -> bool:
+        """Queue one record if a batch is open here; ``False``: write it now."""
         if not self._open or self._pid != os.getpid():
             return False
         line = encode_line(record)  # the bytes as of the put
         with self._lock:
             if not self._open:
                 return False
-            self.pending[key] = (entry, line)
+            self.pending[key] = (record, line)
         return True
 
     def commit(self, close: bool = False) -> None:
@@ -152,14 +159,19 @@ class GroupCommit:
             self._open -= close
             if self.pending:
                 self.journal.append([
-                    (key, entry, line)
-                    for key, (entry, line) in self.pending.items()
+                    (key, record, line)
+                    for key, (record, line) in self.pending.items()
                 ])
                 self.pending.clear()
 
 
 class TieredCache:
     """Memory-over-disk result cache with batch-flushed hit counters.
+
+    Only the memory tier holds records: the disk tier's index holds
+    where each record's line is, so ``lru_size`` bounds the records a
+    process keeps, and a disk hit costs one read and parse of its line
+    (done outside this cache's lock) before it is promoted.
 
     Args:
         disk: The persistent tier; ``None`` keeps the cache purely
@@ -204,14 +216,17 @@ class TieredCache:
             if record is not None:
                 self.memory_hits += 1
                 return record
-            if self.disk is not None:
-                record = self.disk.get(key)
-                if record is not None:
-                    self.disk_hits += 1
-                    self.memory.put(key, record)
-                    return record
-            self.misses += 1
-            return None
+            if self.disk is None or key not in self.disk:
+                self.misses += 1
+                return None
+        record = self.disk.get(key)  # one read and parse, unlocked
+        with self._lock:
+            if record is None:
+                self.misses += 1
+                return None
+            self.disk_hits += 1
+            self.memory.put(key, record)
+            return record
 
     def put(self, record: dict) -> None:
         """Store a record in both tiers (must carry a ``key``).
@@ -225,7 +240,7 @@ class TieredCache:
         with self._lock:
             self.stores += 1
             self.memory.put(key, record)
-        if self.disk is not None and not self._queue.offer(key, record, record):
+        if self.disk is not None and not self._queue.offer(key, record):
             self.disk.put(record)
 
     def open_batch(self) -> None:
@@ -364,13 +379,12 @@ class StageCache:
             # Read at call time, as the keys and the records read it.
             "model_version": _scenario.CODE_MODEL_VERSION,
         }
-        entry = (stage, value)
-        if self._queue.offer(key, entry, record):
+        if self._queue.offer(key, record):
             return
         try:
-            self.journal.append([(key, entry, encode_line(record))])
+            self.journal.append([(key, record, encode_line(record))])
         except OSError:  # only costs a recomputation later
-            self._entries[key] = entry
+            self._entries[key] = (stage, value)
 
     def open_batch(self) -> None:
         """Queue memo writes until :meth:`commit` (see :class:`GroupCommit`)."""
@@ -414,13 +428,15 @@ class StageCache:
     def get_cycles(self, key: str) -> Optional[float]:
         """The memoized workload cycle count for ``key``, or ``None``."""
         entry = self._entries.get(key)
-        if entry is None:
+        if entry is not None:
+            value = entry[1]
+        else:
             queued = self._queue.pending.get(key)
             if queued is None:
                 return None
-            entry = queued[0]
+            value = queued[0]["value"]
         self.cycles_hits += 1
-        return float(entry[1])
+        return float(value)
 
     def put_cycles(self, key: str, cycles: float) -> None:
         """Memoize a freshly-evaluated workload cycle count."""
@@ -460,7 +476,7 @@ class StageCache:
             record_stats(self.root, delta)
 
 
-def _stage_entry(record: dict):
+def _stage_entry(record: dict, span: Optional[int]):
     key = record.get("key")
     if not key or "value" not in record:
         return None
@@ -552,7 +568,8 @@ def merge_cache_dirs(src: str | Path, dst: str | Path) -> dict[str, int]:
 
     Copies every result record and stage memo ``dst`` does not already
     hold (locked, atomic appends — safe while engines are actively using
-    either directory) and adds ``src``'s counter sidecar into ``dst``'s.
+    either directory; ``src``'s records in one in-order read and one
+    append) and adds ``src``'s counter sidecar into ``dst``'s.
     Returns ``{"records": n, "stages": n}`` — how many entries were new.
 
     Raises:
@@ -561,13 +578,14 @@ def merge_cache_dirs(src: str | Path, dst: str | Path) -> dict[str, int]:
     src, dst = Path(src), Path(dst)
     if not src.is_dir():
         raise FileNotFoundError(f"no cache directory at {src}")
-    src_cache = ResultCache(src)
     dst_cache = ResultCache(dst)
-    records = 0
-    for key in src_cache.keys():
-        if key not in dst_cache:
-            dst_cache.put(src_cache.get(key))
-            records += 1
+    new = [
+        (key, record, encode_line(record))
+        for key, record in latest_records(src / ResultCache.FILENAME).items()
+        if key not in dst_cache
+    ]
+    if new:
+        dst_cache.journal.append(new)
     stages = 0
     src_stages = StageCache(src)
     if len(src_stages):
@@ -579,7 +597,7 @@ def merge_cache_dirs(src: str | Path, dst: str | Path) -> dict[str, int]:
     counters = _load_sidecar(src / STATS_FILENAME)
     if counters:
         _merge_sidecar(dst / STATS_FILENAME, counters)
-    return {"records": records, "stages": stages}
+    return {"records": len(new), "stages": stages}
 
 
 def _load_sidecar(path: Path) -> dict[str, int]:
@@ -608,34 +626,29 @@ def cache_stats(root: str | Path) -> dict:
 
     The hit rate folds both tiers' hits against misses, as accumulated
     by engine runs into the sidecar counter (absent counters read as 0).
-    Read-only: a missing cache reports zero entries and is not created.
+    The records are one in-order read of the file.  Read-only: a missing
+    cache reports zero entries and is not created.
     """
-    cache = _open_existing(root)
-    counters = (
-        _load_sidecar(cache.root / STATS_FILENAME) if cache is not None else {}
-    )
+    root = Path(root)
+    exists = root.is_dir()
+    path = root / ResultCache.FILENAME
+    records = latest_records(path) if exists else {}
+    counters = _load_sidecar(root / STATS_FILENAME) if exists else {}
     hits = counters.get("memory_hits", 0) + counters.get("disk_hits", 0)
     lookups = hits + counters.get("misses", 0)
     versions: dict[str, int] = {}
-    if cache is not None:
-        for key in cache.keys():
-            version = _record_version(cache.get(key))
-            versions[version] = versions.get(version, 0) + 1
+    for record in records.values():
+        version = _record_version(record)
+        versions[version] = versions.get(version, 0) + 1
     from ..analytic.store import CalibrationStore
 
     # Opening a journal creates no file, and the directory exists.
-    stage_entries = len(StageCache(root)) if cache is not None else 0
-    calibration_entries = (
-        len(CalibrationStore(root)) if cache is not None else 0
-    )
+    stage_entries = len(StageCache(root)) if exists else 0
+    calibration_entries = len(CalibrationStore(root)) if exists else 0
     return {
-        "path": str(Path(root) / ResultCache.FILENAME),
-        "entries": len(cache) if cache is not None else 0,
-        "bytes": (
-            cache.path.stat().st_size
-            if cache is not None and cache.path.exists()
-            else 0
-        ),
+        "path": str(path),
+        "entries": len(records),
+        "bytes": path.stat().st_size if exists and path.exists() else 0,
         "versions": versions,
         **{name: counters.get(name, 0) for name in _COUNTER_KEYS},
         "hit_rate": (hits / lookups) if lookups else None,

@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+import weakref
 from pathlib import Path
 from typing import Callable, Iterator, Optional
 
@@ -106,13 +107,46 @@ def encode_line(record: dict) -> bytes:
     return (_encode(record) + "\n").encode("utf-8")
 
 
+#: A line's span packs its byte offset and its length, newline included,
+#: into one int, ``offset << SPAN_BITS | length``: a store that indexes
+#: spans keeps one int per key.  A line of ``MAX_LINE`` bytes or more
+#: has no span, and a journal neither writes nor indexes one.
+SPAN_BITS = 24
+MAX_LINE = 1 << SPAN_BITS
+
+
+def _decoded(
+    data: bytes, decode: Callable, offset: int = 0
+) -> Iterator[tuple[dict, str, object]]:
+    """``(record, key, entry)`` for every line of ``data`` that decodes.
+
+    ``data`` starts at byte ``offset`` of the file, and is split on
+    ``b"\n"`` only, so each span ``decode`` sees is the line's exact
+    place in the file.
+    """
+    pos = offset
+    for raw in data.split(b"\n"):
+        start, length = pos, len(raw) + 1
+        pos += length
+        if length >= MAX_LINE or not raw.strip():
+            continue
+        try:
+            record = json.loads(raw.decode("utf-8", errors="replace"))
+            key, entry = decode(record, start << SPAN_BITS | length)
+        except (KeyError, TypeError, ValueError, AttributeError):
+            continue  # a torn write from an interrupted run, or foreign
+        yield record, key, entry
+
+
 class Journal:
     """A keyed index over one append-only JSONL file, safe for many writers.
 
     The journal owns the data file, its lock sidecar and the byte offset
     up to which this process has read; the stores built on it
     (:class:`ResultCache`, the engine's ``StageCache``, the analytic
-    ``CalibrationStore``) only say how a line maps to an index entry.
+    ``CalibrationStore``) only say, in ``decode``, what a line indexes
+    to: its value, or its span, which :meth:`read` turns back into the
+    line's record on demand.
 
     * :meth:`refresh` reads only the bytes past the offset.  Only
       complete (newline-terminated) lines advance it: a trailing
@@ -121,32 +155,39 @@ class Journal:
       A file another process replaced (its :meth:`rewrite`, which
       ``repro cache gc`` runs) has a new inode, and one cut below the
       offset is shorter: either is read again from the start, into the
-      same index dict, which the stores alias.
+      same index dict, which the stores alias.  The journal holds the
+      file its offset is into open, so that file's inode number cannot
+      be reused by a later replacement while the offset refers to it.
     * :meth:`append` is the locked read-check-append of a list of
       entries: one lock, one tail read, one :func:`atomic_append` for
       the whole list.  A file the tail read found ending in a fragment
       (under the lock, always a torn write) gets a newline first, so
       the fragment stays one skipped line instead of swallowing the
-      first appended one.  When that write began exactly at the offset,
-      nothing came in between, so the offset moves past the lines
-      without decoding them; otherwise (a racer's line, a torn
-      fragment) the tail is parsed.  The stores' puts append one entry;
-      the engine's batches append everything they queued (see
-      :meth:`~repro.engine.Engine.run_many`).
+      first appended one.  Each appended line is indexed as a tail read
+      would index it, at the span it was written to, without parsing
+      it.  When that write began exactly at the offset, nothing came in
+      between, so the offset moves past the lines; otherwise (a racer's
+      line, a torn fragment) the tail is parsed.  The stores' puts
+      append one entry; the engine's batches append everything they
+      queued (see :meth:`~repro.engine.Engine.run_many`).
 
     Args:
         path: The ``<name>.jsonl`` data file, guarded by the
             ``<name>.lock`` sidecar beside it, or ``None`` for a purely
-            in-memory index (appends only index the entry).
-        decode: Maps one parsed line to its ``(key, entry)`` pair;
+            in-memory index (appends only index the entry, with no span).
+        decode: Maps one parsed line and its span (``offset <<
+            SPAN_BITS | length``) to the line's ``(key, entry)`` pair;
             ``None`` or a ``KeyError``/``TypeError``/``ValueError``/
-            ``AttributeError`` skips the line.
+            ``AttributeError`` skips the line.  An entry equal to the
+            span makes the index hold where the line is: :meth:`read`
+            reads it back, and :meth:`append` compares a new record with
+            the one read back.
     """
 
     def __init__(
         self,
         path: str | Path | None,
-        decode: Callable[[dict], Optional[tuple[str, object]]],
+        decode: Callable[[dict, Optional[int]], Optional[tuple[str, object]]],
     ) -> None:
         self.path = os.fspath(path) if path is not None else None
         self.lockpath = self.path and os.path.splitext(self.path)[0] + ".lock"
@@ -155,21 +196,22 @@ class Journal:
         self.offset = 0
         self.size = 0  # file size at the last tail read
         self.inode: Optional[int] = None  # of the file the offset is into
+        self._held: Optional[weakref.finalize] = None  # closes that file
         self._mutex = threading.Lock()  # in-process: service threads
         self._read_tail()
 
-    def _decoded(self, data: bytes) -> Iterator[tuple[dict, str, object]]:
-        """``(record, key, entry)`` for every line of ``data`` that decodes."""
-        for raw in data.splitlines():
-            line = raw.decode("utf-8", errors="replace").strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                key, entry = self.decode(record)
-            except (KeyError, TypeError, ValueError, AttributeError):
-                continue  # a torn write from an interrupted run, or foreign
-            yield record, key, entry
+    def _hold(self, fd: int) -> int:
+        """Keep ``fd`` open as the file the offset is into; its inode.
+
+        A file's inode number is free for reuse once the file is
+        unlinked and closed, so without this two rewrites could hand a
+        reader's old inode number to a new file it would take for its
+        own.  The file held before is closed.
+        """
+        if self._held is not None:
+            self._held()
+        self._held = weakref.finalize(self, os.close, fd)
+        return os.fstat(fd).st_ino
 
     def _read_tail(self) -> int:
         """Index the complete lines past the offset; returns new keys."""
@@ -184,6 +226,7 @@ class Journal:
         if stat.st_ino == self.inode and stat.st_size == self.offset:
             return 0  # nothing new: the one stat is the whole cost
         fd = os.open(self.path, os.O_RDONLY)
+        replaced = False
         try:
             stat = os.fstat(fd)  # the file read below, even if replaced since
             size = self.size = stat.st_size
@@ -191,12 +234,16 @@ class Journal:
             # than the offset) means the lines indexed so far are gone.
             replaced = stat.st_ino != self.inode or size < self.offset
             if replaced:
-                self.inode, self.offset = stat.st_ino, 0
+                self.inode, self.offset = self._hold(fd), 0
             data = os.pread(fd, size - self.offset, self.offset)
         finally:
-            os.close(fd)
+            if not replaced:
+                os.close(fd)
         end = data.rfind(b"\n") + 1  # 0: no complete line yet
-        lines = {key: entry for _, key, entry in self._decoded(data[:end])}
+        lines = {
+            key: entry
+            for _, key, entry in _decoded(data[:end], self.decode, self.offset)
+        }
         index = self.index
         added = sum(key not in index for key in lines)
         if replaced:
@@ -210,61 +257,122 @@ class Journal:
         with self._mutex:
             return self._read_tail()
 
+    def read(self, key: str, span: int) -> Optional[dict]:
+        """The record on the line at ``span``, if that line is ``key``'s.
+
+        The read is checked: the file must still be the one the index's
+        spans belong to (its inode), and the line must decode to
+        ``key``.  ``None`` otherwise: the file was replaced or cut since
+        (another process's :meth:`rewrite`), or the span predates a
+        refresh.
+        """
+        inode = self.inode
+        try:
+            fd = os.open(self.path, os.O_RDONLY)
+        except FileNotFoundError:
+            return None
+        try:
+            if os.fstat(fd).st_ino != inode:
+                return None
+            data = os.pread(fd, span & (MAX_LINE - 1), span >> SPAN_BITS)
+        finally:
+            os.close(fd)
+        try:
+            record = json.loads(data.decode("utf-8", errors="replace"))
+            if self.decode(record, span)[0] == key:
+                return record
+        except (KeyError, TypeError, ValueError, AttributeError):
+            pass  # not one whole line, or another key's
+        return None
+
+    def _holds(self, key: str, existing, record: dict, span: int) -> bool:
+        """Whether the index entry ``existing`` already stands for ``record``.
+
+        ``span`` is one where ``record``'s line could be written: where
+        ``decode`` indexes a line by its span, the record read back from
+        ``existing``'s line is compared instead of the entries.
+        """
+        entry = self.decode(record, span)[1]
+        if existing == entry:
+            return True
+        return entry == span and self.read(key, existing) == record
+
     def append(
         self,
-        entries: list[tuple[str, object, bytes]],
+        entries: list[tuple[str, dict, bytes]],
         present: Optional[Callable[[object], bool]] = None,
     ) -> int:
-        """Persist ``(key, entry, line)`` triples and index each entry.
+        """Persist ``(key, record, line)`` triples and index each line.
 
-        ``line`` is the entry's :func:`encode_line`.  An entry is skipped
-        when the freshly refreshed index, or an earlier entry of the
-        list, already holds its key — equal to ``entry``, or as
-        ``present(existing)`` decides.  The rest go out as one write, in
-        list order.  Returns the number of lines appended.
+        ``line`` is the record's :func:`encode_line`, and the index takes
+        what ``decode`` makes of ``record`` at the line's span.  A triple
+        is skipped when the freshly refreshed index, or an earlier
+        triple of the list, already holds its key — with an equal
+        record, or as ``present(existing)`` decides — and so is a line
+        of :data:`MAX_LINE` bytes or more.  The rest go out as one
+        write, in list order.  Returns the number of lines appended.
 
         Raises:
             OSError: If the file cannot be locked or written; the index
                 is then left as the tail read found it.
         """
+        decode = self.decode
         if self.path is None:
-            self.index.update((key, entry) for key, entry, _ in entries)
+            for _, record, _ in entries:
+                key, entry = decode(record, None)
+                self.index[key] = entry
             return len(entries)
         with self._mutex, _FileLock(self.lockpath):
             self._read_tail()
             index = self.index
-            staged: dict[str, object] = {}
-            lines = []
-            for key, entry, line in entries:
-                existing = staged[key] if key in staged else index.get(key)
-                if present(existing) if present is not None else existing == entry:
+            staged: dict[str, dict] = {}
+            out = []
+            for key, record, line in entries:
+                if len(line) >= MAX_LINE:
                     continue
-                staged[key] = entry
-                lines.append(line)
-            if not lines:
+                if key in staged:
+                    held = staged[key] == record
+                else:
+                    existing = index.get(key)
+                    if present is not None:
+                        held = present(existing)
+                    else:
+                        held = existing is not None and self._holds(
+                            key, existing, record,
+                            self.size << SPAN_BITS | len(line),
+                        )
+                if held:
+                    continue
+                staged[key] = record
+                out.append((key, record, line))
+            if not out:
                 return 0
-            data = b"".join(lines)
-            if self.size > self.offset:  # the file ends in a fragment
-                data = b"\n" + data
+            # A file that ends in a fragment gets a newline first.
+            lead = b"\n" if self.size > self.offset else b""
+            data = lead + b"".join(line for _, _, line in out)
             end = atomic_append(self.path, data)
             if end - len(data) == self.offset:
                 self.offset = end
                 if self.inode is None:  # this write created the file
-                    self.inode = os.stat(self.path).st_ino
+                    self.inode = self._hold(os.open(self.path, os.O_RDONLY))
             else:
                 self._read_tail()
-            index.update(staged)
-        return len(lines)
+            pos = end - len(data) + len(lead)
+            for key, record, line in out:
+                index[key] = decode(record, pos << SPAN_BITS | len(line))[1]
+                pos += len(line)
+        return len(out)
 
     def rewrite(self, keep: Callable[[dict], bool]) -> tuple[int, int]:
         """Rewrite the file with the last record per key ``keep`` accepts.
 
         The read-filter-rename holds the append lock, so an append cannot
         land between the read and the rename and be erased; the index is
-        rebuilt from the kept records.  Returns ``(kept, pruned)`` key
-        counts; a missing file is left missing.  The new file's inode is
-        recorded, so this instance reads on from its end while other
-        readers see the replacement and re-read it.
+        rebuilt from the kept records, at their spans in the new file.
+        Returns ``(kept, pruned)`` key counts; a missing file is left
+        missing.  The new file's inode is recorded, so this instance
+        reads on from its end while other readers see the replacement
+        and re-read it.
         """
         with self._mutex, _FileLock(self.lockpath):
             try:
@@ -273,21 +381,45 @@ class Journal:
             except FileNotFoundError:
                 return 0, 0
             latest = {  # the last record per key wins
-                key: (record, entry)
-                for record, key, entry in self._decoded(data)
+                key: record for record, key, _ in _decoded(data, self.decode)
             }
-            kept = {k: v for k, v in latest.items() if keep(v[0])}
-            out = b"".join(encode_line(record) for record, _ in kept.values())
+            index: dict[str, object] = {}
+            lines = []
+            pos = 0
+            for key, record in latest.items():
+                if keep(record):
+                    line = encode_line(record)
+                    span = pos << SPAN_BITS | len(line)
+                    index[key] = self.decode(record, span)[1]
+                    lines.append(line)
+                    pos += len(line)
             tmp = self.path + ".tmp"
             with open(tmp, "wb") as fh:
-                fh.write(out)
-                inode = os.fstat(fh.fileno()).st_ino
+                fh.write(b"".join(lines))
+            inode = self._hold(os.open(tmp, os.O_RDONLY))
             _racecheck.note_replace(self.path)
             os.replace(tmp, self.path)
             self.index.clear()
-            self.index.update((k, entry) for k, (_, entry) in kept.items())
-            self.inode, self.offset = inode, len(out)
-        return len(kept), len(latest) - len(kept)
+            self.index.update(index)
+            self.inode, self.offset = inode, pos
+        return len(index), len(latest) - len(index)
+
+
+def latest_records(path: str | Path) -> dict[str, dict]:
+    """The last record per key on the complete lines of a ``results.jsonl``.
+
+    One in-order read of the whole file, for the readers that want
+    every record (``repro cache stats`` and ``merge``), where a
+    :class:`ResultCache` would read each line back on its own.  A
+    missing file reads as empty.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        return {}
+    complete = data[: data.rfind(b"\n") + 1]
+    return {key: record for record, key, _ in _decoded(complete, _keyed_record)}
 
 
 class ResultCache:
@@ -296,10 +428,14 @@ class ResultCache:
     Args:
         root: Directory holding the cache (created if missing).
 
-    Lookups are in-memory dict hits against a :class:`Journal` index
-    loaded once and grown incrementally by :meth:`refresh`.  For a
-    duplicated key the last record wins, so re-caching after a
-    model-version bump simply shadows the stale line.
+    The :class:`Journal` index maps each key to its line's span, not to
+    the record, so the cache costs a process one int per key; loaded
+    once and grown incrementally by :meth:`refresh`.  :meth:`get` reads
+    and parses that one line, so the records a process keeps are only
+    those in the engine's memory tier
+    (:class:`~repro.engine.cache.TieredCache`).  For a duplicated key
+    the last record wins, so re-caching after a model-version bump
+    simply shadows the stale line.
     """
 
     FILENAME = "results.jsonl"
@@ -310,7 +446,7 @@ class ResultCache:
         self.root.mkdir(parents=True, exist_ok=True)
         self.path = self.root / self.FILENAME
         self.journal = Journal(self.path, _keyed_record)
-        self._records = self.journal.index
+        self._records = self.journal.index  # key -> span
 
     def refresh(self) -> int:
         """Fold records appended by other writers into the index.
@@ -322,8 +458,24 @@ class ResultCache:
         return self.journal.refresh()
 
     def get(self, key: str) -> dict | None:
-        """The cached record for ``key``, or None."""
-        return self._records.get(key)
+        """The cached record for ``key``, or None.
+
+        One open, ``pread`` and parse of the key's line.  A failed check
+        (the file was replaced, say by another process's ``repro cache
+        gc``, or the span predates a refresh) costs one :meth:`refresh`
+        and one retry; a retry that fails too is a miss, never another
+        key's record.
+        """
+        span = self._records.get(key)
+        if span is None:
+            return None
+        record = self.journal.read(key, span)
+        if record is None:
+            self.refresh()
+            span = self._records.get(key)
+            if span is not None:
+                record = self.journal.read(key, span)
+        return record
 
     def put(self, record: dict) -> None:
         """Persist a record (must carry a ``key``) and index it.
@@ -351,6 +503,6 @@ class ResultCache:
         return iter(self._records)
 
 
-def _keyed_record(record: dict):
+def _keyed_record(record: dict, span: Optional[int]):
     key = record.get("key")
-    return (key, record) if key else None
+    return (key, span) if key else None

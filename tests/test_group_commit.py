@@ -263,11 +263,13 @@ class TestMultiEntryAppend:
     @staticmethod
     def _entry(key: str, value: int):
         record = {"key": key, "v": value}
-        return key, value, encode_line(record)
+        return key, record, encode_line(record)
 
     def test_racer_line_and_repeated_key(self, tmp_path, monkeypatch):
         path = tmp_path / "log.jsonl"
-        journal = Journal(path, lambda record: (record["key"], record["v"]))
+        journal = Journal(
+            path, lambda record, span: (record["key"], record["v"])
+        )
         real = cache_module.atomic_append
         written = []
 

@@ -5,14 +5,23 @@ checked through all three public store APIs: a put never decodes its own
 line, a racer's line that lands between the tail read and the write is
 still indexed, a torn fragment costs only itself (the next append
 starts a new line), and a second instance adopts another writer's
-appends on ``refresh()``.
+appends on ``refresh()``.  The record cache's index holds each line's
+span, and a lookup reads that one line back, checked.
 """
 
+import gc
+import hashlib
 import json
 import os
+import tempfile
+import threading
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.analysis import racecheck
 from repro.analytic.store import (
     CalibrationRecord,
     CalibrationStore,
@@ -20,9 +29,24 @@ from repro.analytic.store import (
 )
 from repro.api import scenario as scenario_module
 from repro.api.scenario import CODE_MODEL_VERSION
-from repro.engine.cache import StageCache, cache_clear, cache_gc
+from repro.engine.cache import (
+    StageCache,
+    TieredCache,
+    cache_clear,
+    cache_gc,
+    cache_stats,
+    merge_cache_dirs,
+)
 from repro.sweep import cache as cache_module
-from repro.sweep.cache import Journal, ResultCache, _FileLock, atomic_append
+from repro.sweep.cache import (
+    MAX_LINE,
+    SPAN_BITS,
+    Journal,
+    ResultCache,
+    _FileLock,
+    atomic_append,
+    encode_line,
+)
 
 
 class _Results:
@@ -247,7 +271,9 @@ class TestJournal:
             atomic_append(path, "[1, 2]\n")  # parses, but not a record
             atomic_append(path, '{"no_key": 1}\n')
             atomic_append(path, '{"key": "k", "v": 5}\n')
-        journal = Journal(path, lambda record: (record["key"], record["v"]))
+        journal = Journal(
+            path, lambda record, span: (record["key"], record["v"])
+        )
         assert journal.index == {"k": 5}
         assert journal.offset == path.stat().st_size
 
@@ -334,6 +360,22 @@ class TestReplacedJournal:
         assert len(fresh) == 39
         assert reader.items() == fresh.items()
 
+    def test_a_reader_across_two_rewrites(self, tmp_path):
+        # Each rewrite frees the inode number of the file it replaces,
+        # so the second can hand the reader's number to the new file.
+        writer, reader = ResultCache(tmp_path), ResultCache(tmp_path)
+        writer.put(_new_record(0))
+        with (tmp_path / ResultCache.FILENAME).open("ab") as fh:
+            fh.write(b'{"key": "torn-')
+        reader.put(_new_record(1))
+        writer.journal.rewrite(lambda record: True)
+        writer.journal.rewrite(lambda record: True)
+        rerun = {**_new_record(0), "status": "rerun"}
+        writer.put(rerun)
+        reader.refresh()
+        assert reader.get("new-0") == rerun
+        assert reader.get("new-1") == _new_record(1)
+
     def test_reader_after_cache_clear(self, tmp_path):
         writer = ResultCache(tmp_path)
         for i in range(20):
@@ -371,3 +413,238 @@ class TestReplacedJournal:
         # Shorter than the reader's offset: read again from the start.
         assert reader.refresh() == 1
         assert sorted(reader.keys()) == ["new-1"]
+
+
+def _keyed(i: int) -> dict:
+    """A record under a sha256-sized key, as the engine writes them."""
+    key = hashlib.sha256(str(i).encode()).hexdigest()
+    return {**_Results.record(i), "key": key}
+
+
+class TestSpanIndex:
+    """``ResultCache`` indexes each key by its line's span, not its record:
+    a lookup reads that one line back, checked, and only the engine's
+    memory tier keeps record dicts."""
+
+    def test_disk_tier_holds_under_256_bytes_per_record(
+        self, tmp_path, monkeypatch
+    ):
+        # The race detector's bounded diagnostic trace is not the tier's.
+        monkeypatch.setattr(racecheck, "_enabled", False)
+        cache = ResultCache(tmp_path)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(2000):
+                cache.put(_keyed(i))
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(cache) == 2000
+        assert held / 2000 < 256, f"{held / 2000:.0f} bytes per record"
+        assert cache.get(_keyed(1999)["key"]) == _keyed(1999)
+
+    def test_a_get_is_one_line_read_back(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        for i in range(3):
+            cache.put(_keyed(i))
+        span = cache.journal.index[_keyed(1)["key"]]
+        offset, length = span >> SPAN_BITS, span & (MAX_LINE - 1)
+        data = (tmp_path / ResultCache.FILENAME).read_bytes()
+        assert data[offset:offset + length] == encode_line(_keyed(1))
+        assert ResultCache(tmp_path).journal.index == cache.journal.index
+
+    def test_a_wrong_span_is_one_refresh_then_a_miss(
+        self, tmp_path, monkeypatch
+    ):
+        cache = ResultCache(tmp_path)
+        a, b = _keyed(1), _keyed(2)
+        cache.put(a)
+        cache.put(b)
+        refreshes = []
+        real = cache.journal.refresh
+        monkeypatch.setattr(
+            cache.journal, "refresh", lambda: refreshes.append(1) or real()
+        )
+        cache.journal.index[a["key"]] = cache.journal.index[b["key"]]
+        assert cache.get(a["key"]) is None  # never b's record
+        assert refreshes == [1]
+        assert cache.get(b["key"]) == b and refreshes == [1]
+
+    def test_a_replaced_file_is_one_refresh_then_a_hit(
+        self, tmp_path, monkeypatch
+    ):
+        reader = ResultCache(tmp_path)
+        for i in range(10):
+            reader.put(_old_record(i) if i % 2 else _new_record(i))
+        refreshes = []
+        real = reader.journal.refresh
+        monkeypatch.setattr(
+            reader.journal, "refresh", lambda: refreshes.append(1) or real()
+        )
+        assert cache_gc(tmp_path) == (5, 5)  # another cache: a new file
+        assert reader.get("new-8") == _new_record(8)
+        assert refreshes == [1]
+        assert reader.get("old-1") is None
+        assert reader.get("new-0") == _new_record(0)
+        assert refreshes == [1]
+
+    def test_re_put_appends_and_the_last_record_wins(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        first, second = _keyed(1), {**_keyed(1), "metrics": {"edp": -1.0}}
+        cache.put(first)
+        cache.put(dict(first))  # equal: read back and adopted
+        cache.put(second)
+        path = tmp_path / ResultCache.FILENAME
+        assert path.read_bytes().count(b"\n") == 2
+        assert cache.get(first["key"]) == second
+        assert ResultCache(tmp_path).get(first["key"]) == second
+
+    def test_a_line_of_16_mib_is_neither_written_nor_indexed(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put(_keyed(0))
+        path = tmp_path / ResultCache.FILENAME
+        size = path.stat().st_size
+        huge = {"key": "huge", "blob": "x" * MAX_LINE}
+        cache.put(huge)
+        assert path.stat().st_size == size
+        assert "huge" not in cache and cache.get("huge") is None
+        # One another writer left: skipped, and the spans after it hold.
+        with _FileLock(tmp_path / ResultCache.LOCKNAME):
+            atomic_append(path, encode_line(huge))
+        cache.put(_keyed(1))
+        fresh = ResultCache(tmp_path)
+        assert sorted(fresh.keys()) == sorted(
+            [_keyed(0)["key"], _keyed(1)["key"]]
+        )
+        assert fresh.get(_keyed(1)["key"]) == _keyed(1)
+        assert cache.get(_keyed(1)["key"]) == _keyed(1)
+
+    def test_whole_cache_readers_read_no_line_back(
+        self, tmp_path, monkeypatch
+    ):
+        src, dst = tmp_path / "src", tmp_path / "dst"
+        writer = ResultCache(src)
+        for i in range(6):
+            writer.put(_old_record(i) if i % 2 else _new_record(i))
+        writer.put({**_new_record(0), "status": "rerun"})  # last one wins
+        ResultCache(dst).put(_new_record(2))
+
+        def no_reads(*args):
+            raise AssertionError("a whole-cache reader read one line")
+
+        monkeypatch.setattr(Journal, "read", no_reads)
+        stats = cache_stats(src)
+        assert stats["entries"] == 6
+        assert stats["versions"] == {CODE_MODEL_VERSION: 3, "old": 3}
+        assert merge_cache_dirs(src, dst)["records"] == 5
+        monkeypatch.undo()
+        merged = ResultCache(dst)
+        assert merged.get("new-0") == {**_new_record(0), "status": "rerun"}
+        assert len(merged) == 6
+
+    def test_a_disk_read_does_not_hold_the_tier_lock(self, tmp_path):
+        tiered = TieredCache(disk=ResultCache(tmp_path))
+        tiered.put(_keyed(0))  # in the memory tier too
+        tiered.disk.put(_keyed(1))  # on disk only
+        entered, release = threading.Event(), threading.Event()
+
+        def slow_get(key):
+            entered.set()
+            release.wait(10)
+            return None
+
+        tiered.disk.get = slow_get
+        reader = threading.Thread(
+            target=tiered.get, args=(_keyed(1)["key"],)
+        )
+        reader.start()
+        try:
+            assert entered.wait(10)
+            hit = []
+            other = threading.Thread(
+                target=lambda: hit.append(tiered.get(_keyed(0)["key"]))
+            )
+            other.start()
+            other.join(2)
+            assert hit == [_keyed(0)]  # served while the disk read waits
+        finally:
+            release.set()
+            reader.join(10)
+        assert not reader.is_alive()
+        assert (tiered.memory_hits, tiered.misses) == (1, 1)
+
+
+_KEYS = ("k0", "k1", "k2", "k3")
+
+
+def _versioned(key: str, version: int) -> dict:
+    return {"key": key, "job": {"v": version}, "status": "ok",
+            "model_version": "old" if version % 3 == 0 else "new"}
+
+
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), st.integers(0, 1), st.sampled_from(_KEYS),
+                  st.integers(0, 5)),
+        st.tuples(st.just("get"), st.integers(0, 1), st.sampled_from(_KEYS),
+                  st.booleans()),
+        st.tuples(st.just("tear"), st.integers(0, 1)),
+        st.tuples(st.just("gc"), st.integers(0, 1), st.booleans()),
+    ),
+    max_size=30,
+)
+
+
+class TestSharedSpanIndexModel:
+    """Two caches on one directory against a dict model of the file.
+
+    A get returns the last complete record put under the key as of its
+    cache's last look at the file: its own put or gc, a refresh, or the
+    refresh that a file another cache replaced costs the first get of a
+    key it holds.  A fresh reader finds exactly the model.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(ops=_OPS)
+    def test_every_get_is_the_last_complete_record(self, ops):
+        with tempfile.TemporaryDirectory() as root:
+            caches = [ResultCache(root), ResultCache(root)]
+            path = os.path.join(root, ResultCache.FILENAME)
+            model: dict[str, dict] = {}  # the last record put per key
+            seen = [{}, {}]  # the model as each cache last looked
+            replaced = [False, False]  # the other's gc since then
+            for op in ops:
+                who = op[1]
+                if op[0] == "put":
+                    _, _, key, version = op
+                    caches[who].put(_versioned(key, version))
+                    model[key] = _versioned(key, version)
+                    seen[who], replaced[who] = dict(model), False
+                elif op[0] == "get":
+                    _, _, key, refresh = op
+                    if refresh:
+                        caches[who].refresh()
+                    if refresh or (replaced[who] and key in seen[who]):
+                        seen[who], replaced[who] = dict(model), False
+                    assert caches[who].get(key) == seen[who].get(key)
+                elif op[0] == "tear":  # a writer killed mid-line
+                    with open(path, "ab") as fh:
+                        fh.write(b'{"key": "k0", "job": {"v"')
+                else:  # what `repro cache gc` runs, by either cache
+                    prune = op[2]
+
+                    def keep(record, prune=prune):
+                        return not prune or record["model_version"] == "new"
+
+                    caches[who].journal.rewrite(keep)
+                    model = {k: r for k, r in model.items() if keep(r)}
+                    seen[who], replaced[who] = dict(model), False
+                    replaced[1 - who] = True
+            for cache in [*caches, ResultCache(root)]:
+                cache.refresh()
+                assert {key: cache.get(key) for key in _KEYS} == {
+                    key: model.get(key) for key in _KEYS
+                }

@@ -421,3 +421,26 @@ class TestCli:
             assert "repro_service_requests_total" in snapshot
             assert main(["metrics", "--url", url, "--prometheus"]) == 0
             assert "# TYPE" in capsys.readouterr().out
+
+    def test_metrics_cli_closes_its_client(self, capsys):
+        import gc
+        import os
+        import warnings
+
+        from repro.__main__ import main
+        from repro.service import ReproService
+
+        service = ReproService(port=0, backend="serial")
+        with service.run_in_thread() as url:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                assert main(["metrics", "--url", url]) == 0
+                assert main(["metrics", "--url", url, "--prometheus"]) == 0
+                gc.collect()
+        capsys.readouterr()
+        leaked = [
+            str(w.message) for w in caught
+            if issubclass(w.category, ResourceWarning)
+            and w.filename.endswith(os.path.join("repro", "__main__.py"))
+        ]
+        assert leaked == []
