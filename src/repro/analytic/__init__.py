@@ -20,7 +20,7 @@ from .store import (
     calibration_store_for,
 )
 from .calibrate import calibrate, ensure_calibrated
-from .tier import flush_analytic_stats, predict_cycles
+from .tier import predict_cycles
 
 __all__ = [
     "AnalyticTerms",
@@ -29,6 +29,5 @@ __all__ = [
     "calibrate",
     "calibration_store_for",
     "ensure_calibrated",
-    "flush_analytic_stats",
     "predict_cycles",
 ]

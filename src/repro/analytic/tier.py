@@ -9,15 +9,14 @@ simulating — falling back to the workload plugin (the fast engine) when
 the calibration cannot be fitted or the fitted error bound is violated.
 
 Every outcome is counted twice: process-wide observability counters
-(``repro_analytic_*`` in ``/v1/metrics``) and per-cache-root deltas
-folded batch-wise into the stats sidecar by the engine's record-tier
-flush (:func:`take_pending_stats`; :func:`flush_analytic_stats` at
-exit), never on the per-prediction hot path.
+(``repro_analytic_*`` in ``/v1/metrics``) and, per cache root, growth
+handed to the root's :class:`~repro.engine.cache.CounterAccumulator`,
+which merges it into the stats sidecar with the other tiers' counts, so
+a prediction never touches the filesystem.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Optional
 
 from ..api.registry import PREDICTORS
@@ -38,56 +37,13 @@ _FALLBACKS = counter(
     "Analytic-tier requests that fell back to the fast engine",
 )
 
-#: Per-cache-root counter deltas awaiting a sidecar merge.
-_PENDING: dict[str, dict[str, int]] = {}
-_PENDING_LOCK = threading.Lock()
-_FLUSH_REGISTERED: set[str] = set()
-
 
 def _count(root: Optional[str], field: str, obs_counter) -> None:
     obs_counter.inc()
-    if root is None:
-        return
-    with _PENDING_LOCK:
-        pending = _PENDING.setdefault(
-            root,
-            {
-                "analytic_predictions": 0,
-                "analytic_calibrations": 0,
-                "analytic_fallbacks": 0,
-            },
-        )
-        pending[field] += 1
-        if root not in _FLUSH_REGISTERED:
-            _FLUSH_REGISTERED.add(root)
-            import atexit
-            from multiprocessing import util as mp_util
+    if root is not None:
+        from ..engine.cache import ANALYTIC_COUNTER_KEYS, accumulator_for
 
-            atexit.register(flush_analytic_stats, root)
-            mp_util.Finalize(
-                None, flush_analytic_stats, args=(root,), exitpriority=10
-            )
-
-
-def take_pending_stats(root: str) -> dict[str, int]:
-    """Pop ``root``'s pending counter deltas (for ``TieredCache``'s merge)."""
-    with _PENDING_LOCK:
-        return _PENDING.pop(root, {})
-
-
-def flush_analytic_stats(root: str | None = None) -> None:
-    """Merge pending analytic counter deltas into sidecar stats files.
-
-    Runs at process exit (and on demand); with ``root=None`` every
-    pending root is flushed.  Zero-delta roots never touch the
-    filesystem.
-    """
-    from ..engine.cache import record_stats
-
-    with _PENDING_LOCK:
-        roots = [root] if root is not None else list(_PENDING)
-    for target in roots:
-        record_stats(target, take_pending_stats(target))
+        accumulator_for(root).add({**dict.fromkeys(ANALYTIC_COUNTER_KEYS, 0), field: 1})
 
 
 def predict_cycles(scenario, root: str | None = None) -> Optional[float]:

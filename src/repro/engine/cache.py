@@ -20,9 +20,9 @@ instead of A x K, and cycle counts are shared across flow, frequency,
 and objective variants.
 
 The module also owns the cache-maintenance helpers behind the
-``repro cache`` CLI: a sidecar hit/miss counter (flushed batch-wise by
-the engine, never on the per-lookup hot path), ``clear``, and a ``gc``
-that prunes entries written under old code-model versions.
+``repro cache`` CLI: the ``stats.json`` hit/miss counters (merged at
+most once a second, never on the per-lookup hot path), ``clear``, and a
+``gc`` that prunes entries written under old code-model versions.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from __future__ import annotations
 import atexit
 import json
 import os
-import sys
 import threading
 import time
 from collections import OrderedDict
@@ -47,6 +46,11 @@ from ..sweep.cache import (
     latest_records,
 )
 from ..sweep.spec import Job
+
+#: Longest a batch keeps completed records and stage memos queued before
+#: writing them (a killed process loses at most about this much work);
+#: also the least time between two batch-end counter merges.
+COMMIT_INTERVAL_S = 1.0
 
 #: Default bound of the in-memory tier, the only one that keeps records
 #: in memory.  A record costs about 1 KB there, so the default costs a
@@ -166,7 +170,7 @@ class GroupCommit:
 
 
 class TieredCache:
-    """Memory-over-disk result cache with batch-flushed hit counters.
+    """Memory-over-disk result cache with batch-wise merged hit counters.
 
     Only the memory tier holds records: the disk tier's index holds
     where each record's line is, so ``lru_size`` bounds the records a
@@ -178,24 +182,15 @@ class TieredCache:
             in-memory (still useful: repeated points in one process).
         lru_size: Bound of the memory tier; ``0`` disables it, making
             this a thin counting wrapper over the disk tier.
-        stats_flush_interval_s: Minimum seconds between sidecar merges.
-            ``0`` (the default) persists counter growth on every
-            :meth:`flush_stats` call.  A service handling thousands of
-            small batches per second sets this to coalesce the locked
-            read-modify-write of ``stats.json`` (a ~0.3 ms serialised
-            disk rename per call otherwise); deltas accumulate
-            in-process and ``flush_stats(force=True)`` drains them.
     """
 
     def __init__(
         self,
         disk: Optional[ResultCache] = None,
         lru_size: int = DEFAULT_LRU_SIZE,
-        stats_flush_interval_s: float = 0.0,
     ) -> None:
         self.disk = disk
-        self.stats_flush_interval_s = stats_flush_interval_s
-        self._last_sidecar_merge = -float("inf")
+        self._counts = accumulator_for(disk.root) if disk is not None else None
         self.memory = LRUCache(lru_size)
         self.memory_hits = 0
         self.disk_hits = 0
@@ -269,29 +264,14 @@ class TieredCache:
         return {name: getattr(self, name) for name in _COUNTER_KEYS}
 
     def flush_stats(self, force: bool = False) -> None:
-        """Merge counter growth since the last flush into the disk sidecar.
+        """Hand counter growth since the last call, with the directory's
+        process-wide :class:`StageCache`'s, to its :class:`CounterAccumulator`,
+        which merges it if due (``force``: at once).
 
         In-process counters stay cumulative (callers diff them across
-        batches); only the delta reaches disk.  A no-op without a disk
-        tier.  Called by the engine once per batch, so the per-lookup
-        hot path never touches the filesystem.  The same merge carries
-        the growth of the directory's :class:`StageCache` and any
-        pending analytic-tier counters, so a due flush is one locked
-        rewrite of ``stats.json``.  With a nonzero
-        ``stats_flush_interval_s`` the deltas keep accumulating until
-        the interval elapses (or ``force=True`` drains them), so
-        per-batch callers never serialise on the sidecar lock.
+        batches).  The engine calls this once per batch, so the lookup
+        hot path never touches the filesystem.  A no-op without a disk.
         """
-        if self.disk is None:
-            self._flushed = self.counters()
-            return
-        now = time.monotonic()
-        if (
-            not force
-            and self.stats_flush_interval_s > 0
-            and now - self._last_sidecar_merge < self.stats_flush_interval_s
-        ):
-            return
         with self._lock:
             counters = self.counters()
             delta = {
@@ -299,18 +279,13 @@ class TieredCache:
                 for name in _COUNTER_KEYS
             }
             self._flushed = counters
-            self._last_sidecar_merge = now
-        root = str(self.disk.root)
-        stages = _STAGE_CACHES.get(root)
-        if stages is not None:
-            delta.update(stages.take_delta())
-        # Only a loaded analytic tier can have pending counters; looking
-        # it up keeps the tier unimported on non-analytic runs.
-        tier = sys.modules.get("repro.analytic.tier")
-        if tier is not None:
-            delta.update(tier.take_pending_stats(root))
-        if any(delta.values()):
-            _merge_sidecar(self.disk.root / STATS_FILENAME, delta)
+        counts = self._counts
+        if counts is None:
+            return
+        if counts.stages is not None:
+            delta.update(counts.stages._take_delta())
+        counts.add(delta)
+        counts.flush(due=not force)
 
 
 class StageCache:
@@ -448,13 +423,8 @@ class StageCache:
         """The current in-process stage counter values."""
         return {name: getattr(self, name) for name in STAGE_COUNTER_KEYS}
 
-    def take_delta(self) -> dict[str, int]:
-        """Counter growth since the last take (the sidecar's next delta).
-
-        The snapshot is taken under a lock, so concurrent takers
-        (thread-backend engines sharing one process-wide cache) never
-        double-count an increment.
-        """
+    def _take_delta(self) -> dict[str, int]:
+        """Counter growth since the last take (a thread-safe snapshot)."""
         with self._flush_lock:
             counters = self.counters()
             delta = {
@@ -465,15 +435,12 @@ class StageCache:
         return delta
 
     def flush_stats(self) -> None:
-        """Merge counter growth since the last flush into the sidecar.
-
-        The engine folds this delta into :meth:`TieredCache.flush_stats`;
-        this standalone flush serves pool workers at exit.  Both share
-        one ``stats.json``, under disjoint counter names.
-        """
-        delta = self.take_delta()
+        """Hand counter growth since the last call to the directory's
+        :class:`CounterAccumulator` (an in-memory memo drops it).  For the
+        process-wide memo, engine batches and the exit hook do this."""
+        delta = self._take_delta()
         if self.root is not None:
-            record_stats(self.root, delta)
+            accumulator_for(self.root).add(delta)
 
 
 def _stage_entry(record: dict, span: Optional[int]):
@@ -492,50 +459,116 @@ _STAGE_CACHES: dict[str, StageCache] = {}
 def stage_cache_for(root: str | Path) -> StageCache:
     """The process-wide :class:`StageCache` for a cache directory.
 
-    Counter flushing is batch-wise, never per evaluation: the engine's
-    :meth:`TieredCache.flush_stats` carries this cache's delta in its
-    own process, and pool workers flush once at process exit, so the
-    per-job hot path never touches the sidecar file.  Multiprocessing
-    children skip ``atexit`` (they leave via ``os._exit``), so the exit
-    hook is registered with ``multiprocessing.util.Finalize`` as well,
-    which their bootstrap does run; the delta-based flush makes running
-    both a no-op.  A ``fork``-started child inherits the parent's cache
-    but not its ``Finalize`` hooks (the bootstrap clears them), so an
-    after-fork hook drops the inherited, parent-owned counter growth and
-    registers the child's own exit flush.
+    Its counter growth goes to the directory's :class:`CounterAccumulator`
+    at the end of each engine batch and at exit (a pool worker's too);
+    a bare :class:`~repro.api.Pipeline`'s waits for either.
     """
     key = str(root)
     cache = _STAGE_CACHES.get(key)
     if cache is None:
-        from multiprocessing import util as mp_util  # first use only
-
-        cache = StageCache(root)
-        _STAGE_CACHES[key] = cache
-        atexit.register(cache.flush_stats)
-        mp_util.Finalize(None, cache.flush_stats, exitpriority=10)
-        mp_util.register_after_fork(cache, _adopt_in_child)
+        new = StageCache(root)
+        cache = _STAGE_CACHES.setdefault(key, new)  # racing threads share one
+        if cache is new:
+            accumulator_for(root).stages = cache
     return cache
 
 
-def _adopt_in_child(cache: StageCache) -> None:
-    """After-fork hook: the parent flushes what it counted before the
-    fork, and the child flushes only its own growth, at its exit."""
-    from multiprocessing import util as mp_util
+class CounterAccumulator:
+    """This process's unmerged ``stats.json`` counts for one cache directory.
 
-    # A lock another parent thread held at the fork stays held here.
-    cache._flush_lock = threading.Lock()
-    cache.take_delta()
-    mp_util.Finalize(None, cache.flush_stats, exitpriority=10)
-
-
-def record_stats(root: str | Path, delta: dict[str, int]) -> None:
-    """Fold counter deltas into ``root``'s sidecar (the locked merge).
-
-    All-zero deltas, and roots that are not directories, are dropped
-    without touching the filesystem.
+    The record tier and the stage memo hand their growth over at the end
+    of each engine batch, the analytic tier per outcome.  The locked
+    :func:`_merge_sidecar` runs after a batch at most once per
+    :data:`COMMIT_INTERVAL_S` (the first at once), at exit, and before
+    this process reads the counters; the counts live here, not in the
+    caches, so a collected cache's growth still lands at exit.
     """
-    if any(delta.values()) and Path(root).is_dir():
-        _merge_sidecar(Path(root) / STATS_FILENAME, delta)
+
+    def __init__(self, root: str) -> None:
+        self.path = Path(root) / STATS_FILENAME
+        self.pending: dict[str, int] = {}
+        self.stages: Optional[StageCache] = None  # see stage_cache_for
+        self._merged = -float("inf")
+        self._lock = threading.Lock()
+
+    def add(self, delta: dict[str, int]) -> None:
+        """Take over growth (zeros too: the sidecar lists every name)."""
+        with self._lock:
+            for name, value in delta.items():
+                self.pending[name] = self.pending.get(name, 0) + value
+
+    def flush(self, due: bool = False) -> None:
+        """Merge the pending growth (``due``: only once the interval has
+        passed), under the lock, so a reader's flush waits for a merge in
+        flight.  A directory that is gone is not recreated."""
+        with self._lock:
+            now = time.monotonic()
+            if (
+                due and now - self._merged < COMMIT_INTERVAL_S
+            ) or not any(self.pending.values()):
+                return
+            delta, self.pending, self._merged = self.pending, {}, now
+            if self.path.parent.is_dir():
+                _merge_sidecar(self.path, delta)
+
+    def discard(self) -> None:
+        """Drop this process's unmerged counts (the directory was cleared)."""
+        with self._lock:
+            self.pending = {}
+        if self.stages is not None:
+            self.stages._take_delta()
+
+    def flush_at_exit(self) -> None:
+        """The exit hook: take the memo's last growth and merge it all."""
+        if self.stages is not None:
+            self.add(self.stages._take_delta())
+        self.flush()
+
+    def _after_fork(self) -> None:
+        """A forked child merges only its own growth, at its own exit."""
+        from multiprocessing import util as mp_util
+
+        # A lock another parent thread held at the fork stays held here.
+        self._lock = threading.Lock()
+        self.pending, self._merged = {}, -float("inf")
+        if self.stages is not None:
+            self.stages._flush_lock = threading.Lock()
+            self.stages._take_delta()
+        mp_util.Finalize(None, self.flush_at_exit, exitpriority=10)
+
+
+#: Process-wide counter accumulators, keyed by absolute directory path.
+_ACCUMULATORS: dict[str, CounterAccumulator] = {}
+
+
+def accumulator_for(root: str | Path) -> CounterAccumulator:
+    """The process-wide :class:`CounterAccumulator` for a cache directory.
+
+    Its first use registers the exit flush with ``atexit`` and with
+    ``multiprocessing.util.Finalize`` (multiprocessing children skip
+    ``atexit``; a second run finds nothing pending), and an after-fork
+    hook: a forked child inherits the accumulator but not the finalizer.
+    """
+    key = os.path.abspath(root)
+    counts = _ACCUMULATORS.get(key)
+    if counts is None:
+        from multiprocessing import util as mp_util  # first use only
+
+        # setdefault is atomic: threads racing here share one accumulator.
+        new = CounterAccumulator(key)
+        counts = _ACCUMULATORS.setdefault(key, new)
+        if counts is new:
+            atexit.register(counts.flush_at_exit)
+            mp_util.Finalize(None, counts.flush_at_exit, exitpriority=10)
+            mp_util.register_after_fork(counts, CounterAccumulator._after_fork)
+    return counts
+
+
+def _merge_pending(root: str | Path) -> None:
+    """Merge this process's unmerged counts for ``root`` (before a read)."""
+    counts = _ACCUMULATORS.get(os.path.abspath(root))
+    if counts is not None:
+        counts.flush()
 
 
 def _merge_sidecar(path: Path, delta: dict[str, int]) -> None:
@@ -569,7 +602,8 @@ def merge_cache_dirs(src: str | Path, dst: str | Path) -> dict[str, int]:
     Copies every result record and stage memo ``dst`` does not already
     hold (locked, atomic appends — safe while engines are actively using
     either directory; ``src``'s records in one in-order read and one
-    append) and adds ``src``'s counter sidecar into ``dst``'s.
+    append) and adds ``src``'s counter sidecar, with this process's
+    unmerged counts for it, into ``dst``'s.
     Returns ``{"records": n, "stages": n}`` — how many entries were new.
 
     Raises:
@@ -594,6 +628,7 @@ def merge_cache_dirs(src: str | Path, dst: str | Path) -> dict[str, int]:
             if dst_stages.peek(key) != value:
                 dst_stages._append(src_stages.stage_of(key), key, value)
                 stages += 1
+    _merge_pending(src)
     counters = _load_sidecar(src / STATS_FILENAME)
     if counters:
         _merge_sidecar(dst / STATS_FILENAME, counters)
@@ -625,14 +660,16 @@ def cache_stats(root: str | Path) -> dict:
     """Summary of an on-disk cache: entries, bytes, and hit counters.
 
     The hit rate folds both tiers' hits against misses, as accumulated
-    by engine runs into the sidecar counter (absent counters read as 0).
-    The records are one in-order read of the file.  Read-only: a missing
-    cache reports zero entries and is not created.
+    by engine runs into the sidecar counter (absent counters read as 0);
+    this process's unmerged counts are merged first, so they are exact
+    here.  The records are one in-order read of the file.  Read-only on
+    a missing cache: it reports zero entries and is not created.
     """
     root = Path(root)
     exists = root.is_dir()
     path = root / ResultCache.FILENAME
     records = latest_records(path) if exists else {}
+    _merge_pending(root)  # a missing directory stays missing
     counters = _load_sidecar(root / STATS_FILENAME) if exists else {}
     hits = counters.get("memory_hits", 0) + counters.get("disk_hits", 0)
     lookups = hits + counters.get("misses", 0)
@@ -662,13 +699,18 @@ def cache_stats(root: str | Path) -> dict:
 def cache_clear(root: str | Path) -> int:
     """Delete every cache entry (and the sidecar); returns entries removed.
 
-    A missing cache directory is a no-op, never created.
+    This process's unmerged counts for the directory go too, so no later
+    merge brings the cleared counters back.  A missing cache directory is
+    a no-op, never created.
     """
     from ..analytic.store import CalibrationStore
 
     cache = _open_existing(root)
     if cache is None:
         return 0
+    counts = _ACCUMULATORS.get(os.path.abspath(root))
+    if counts is not None:
+        counts.discard()
     removed = len(cache)
     # Each unlink runs under the file's own lock sidecar: a concurrent
     # appender holding the lock finishes (or waits) instead of writing

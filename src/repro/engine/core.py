@@ -36,17 +36,13 @@ from ..sweep.cache import ResultCache
 from ..sweep.spec import Job
 from ..sweep.store import ResultStore
 from .backends import ExecutionBackend, resolve_backend
-from .cache import DEFAULT_LRU_SIZE, TieredCache, stage_cache_for
+from .cache import COMMIT_INTERVAL_S, DEFAULT_LRU_SIZE, TieredCache, stage_cache_for
 
 #: Anything run_many accepts as one evaluation request.
 RunItem = Union[Scenario, Job]
 
 #: Progress callback: ``(done, total, record)`` per completed item.
 ProgressCallback = Callable[[int, int, dict], None]
-
-#: Longest a batch keeps completed records and stage memos queued before
-#: writing them: a killed process loses at most about this much work.
-COMMIT_INTERVAL_S = 1.0
 
 
 #: Bound of the per-process pipeline memo: one :class:`~repro.api.Pipeline`
@@ -230,10 +226,10 @@ class Engine:
     def stage_counters(self) -> Optional[dict[str, int]]:
         """This process's stage-cache counters, or ``None`` if disabled.
 
-        Pool workers keep their own counters and flush them at exit;
-        this process's deltas reach the cache directory's ``stats.json``
-        sidecar with each record-tier flush, and ``repro cache stats``
-        aggregates them.
+        Pool workers keep their own counters and land them at exit;
+        this process's reach the ``stats.json`` sidecar through the
+        directory's :class:`~repro.engine.cache.CounterAccumulator`, and
+        ``repro cache stats`` aggregates them.
         """
         if self.stage_root is None:
             return None
@@ -330,7 +326,7 @@ class Engine:
         finally:
             for store in stores:
                 store.commit(close=True)
-            self.cache.flush_stats()  # one sidecar merge for every tier
+            self.cache.flush_stats()  # every tier's counts, merged if due
 
     def _emit(
         self,

@@ -50,7 +50,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from ..api.scenario import check_engine
 from ..engine.backends import resolve_backend
-from ..engine.cache import TieredCache, cache_stats
+from ..engine.cache import cache_stats
 from ..engine.core import Engine
 from ..obs import metrics, trace
 from ..sweep.cache import ResultCache
@@ -172,13 +172,12 @@ class ReproService:
         # name leaves the filesystem untouched.
         check_engine(sim_engine)
         backend = resolve_backend(backend, workers=workers)
-        disk = ResultCache(cache_dir) if cache_dir else None
-        # Coalesce stats-sidecar merges: thousands of warm sync requests
-        # per second must not serialise on a per-request disk rename.
+        # Requests hand their counts over in memory; stats.json merges
+        # at most once a second (engine.cache.CounterAccumulator).
         self.engine = Engine(
             backend=backend,
             workers=workers,
-            cache=TieredCache(disk=disk, stats_flush_interval_s=2.0),
+            cache=ResultCache(cache_dir) if cache_dir else None,
             sim_engine=sim_engine,
         )
         self.table = JobTable()
@@ -502,8 +501,9 @@ class ReproService:
                     },
                 )
         if route == ["cache"] and method == "GET":
-            # cache_summary flushes the stats sidecar (flock + rename) and
-            # re-reads results.jsonl — disk I/O, so off the loop.
+            # cache_summary merges this process's pending counts into the
+            # stats sidecar (flock + rename) and re-reads results.jsonl —
+            # disk I/O, so off the loop.
             return _encode_response(
                 200, await asyncio.to_thread(self.cache_summary)
             )
@@ -629,8 +629,9 @@ class ReproService:
                 "misses": cache.misses,
                 "stores": cache.stores,
             }
-        # Drain any coalesced counter deltas so the document is current.
-        self.engine.cache.flush_stats(force=True)
+        # Hand over the engine's counts; cache_stats merges every pending
+        # count of this process before it reads, so the document is current.
+        self.engine.cache.flush_stats()
         return cache_stats(self.cache_dir)
 
     def health(self) -> dict:

@@ -11,18 +11,17 @@ from __future__ import annotations
 from typing import Iterable
 
 from ..core.explorer import OBJECTIVES, DesignPoint, pareto_front
-from .spec import Job
+from .spec import point_label
 from .store import record_to_point
 
 
 def labeled_points(records: Iterable[dict]) -> list[tuple[str, DesignPoint]]:
     """(label, point) pairs for the successful records, input order kept."""
-    out = []
-    for record in records:
-        if record.get("status") == "ok":
-            label = Job.from_params(record["job"]).label
-            out.append((label, record_to_point(record)))
-    return out
+    return [
+        (point_label(record["job"]), record_to_point(record))
+        for record in records
+        if record.get("status") == "ok"
+    ]
 
 
 def _rank_pairs(
@@ -103,6 +102,6 @@ def summarize(records: Iterable[dict], top: int = 3) -> str:
     if failures:
         lines.append(f"failures ({len(failures)}):")
         for record in failures:
-            label = Job.from_params(record["job"]).label
+            label = point_label(record["job"])
             lines.append(f"  {label:>28}  {record.get('error', '?')}")
     return "\n".join(lines)

@@ -37,6 +37,11 @@ _FIELDS = (
 _read_fields = attrgetter(*("workload" if f == "kernel" else f for f in _FIELDS))
 
 
+def point_label(params: dict) -> str:
+    """The label of :meth:`Job.params` output (a record's ``job``)."""
+    return f"MemPool-{params['flow']}-{params['capacity_mib']}MiB@{params['bandwidth']:g}B/c"
+
+
 @dataclass(frozen=True, init=False)
 class Job:
     """One fully-resolved design point to evaluate.
@@ -113,8 +118,7 @@ class Job:
     @property
     def label(self) -> str:
         """Human-readable point label, e.g. ``MemPool-3D-4MiB@16B/c``."""
-        s = self._scenario
-        return f"MemPool-{s.flow}-{s.capacity_mib}MiB@{s.bandwidth:g}B/c"
+        return point_label(self.params())
 
     def to_config(self) -> MemPoolConfig:
         """The architectural configuration this job evaluates."""

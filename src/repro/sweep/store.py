@@ -68,8 +68,9 @@ def record_to_point(record: dict) -> DesignPoint:
     """
     if record.get("status") != "ok":
         raise ValueError(f"cannot rebuild a point from status {record.get('status')!r}")
-    job = Job.from_params(record["job"])
-    config = job.to_config()
+    params = dict(record["job"])  # one Scenario, and no key computed
+    params["workload"] = params.pop("kernel", "matmul")
+    config = _scenario.Scenario(**params).to_config()
     m = record["metrics"]
     kernel = KernelMetrics(
         name=config.name,

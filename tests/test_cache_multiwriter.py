@@ -154,11 +154,21 @@ class TestConcurrentStageWriters:
 
 
 class TestConcurrentCounters:
-    def test_sidecar_merges_instead_of_clobbering(self, tmp_path):
+    # Each writer's first merge is due at once and the rest wait for its
+    # exit, which a fork- and a spawn-started child reach differently.
+    @pytest.mark.parametrize("method", [
+        pytest.param(method, marks=pytest.mark.skipif(
+            method not in multiprocessing.get_all_start_methods(),
+            reason=f"no {method} start method here",
+        ))
+        for method in ("fork", "spawn")
+    ])
+    def test_sidecar_merges_instead_of_clobbering(self, tmp_path, method):
         root = str(tmp_path)
-        gate = multiprocessing.Event()
+        context = multiprocessing.get_context(method)
+        gate = context.Event()
         procs = [
-            multiprocessing.Process(
+            context.Process(
                 target=_counter_proc, args=(root, 25, gate)
             )
             for _ in range(4)

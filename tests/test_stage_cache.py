@@ -10,16 +10,26 @@ CLI surface.
 """
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.api import Pipeline, Scenario
 from repro.engine import (
     Engine,
     StageCache,
+    TieredCache,
     cache_clear,
     cache_gc,
     cache_stats,
+    stage_cache_for,
 )
 from repro.sweep import ResultCache, SweepSpec
 
@@ -152,6 +162,29 @@ def _sidecar_counters(root) -> dict:
             ("memory_hits", "disk_hits", "misses", "stores") + STAGE_COUNTERS}
 
 
+def _stored_counters(root) -> dict:
+    """The counters ``stats.json`` holds now (``cache_stats`` would first
+    merge this process's pending counts)."""
+    stored = json.loads((root / "stats.json").read_text())
+    return {name: stored.get(name, 0) for name in
+            ("memory_hits", "disk_hits", "misses", "stores") + STAGE_COUNTERS}
+
+
+def _count_merges(monkeypatch) -> list:
+    """Record the delta of every ``_merge_sidecar`` call."""
+    from repro.engine import cache as cache_module
+
+    merges = []
+    real_merge = cache_module._merge_sidecar
+
+    def counting_merge(path, delta):
+        merges.append(dict(delta))
+        real_merge(path, delta)
+
+    monkeypatch.setattr(cache_module, "_merge_sidecar", counting_merge)
+    return merges
+
+
 class TestSidecarFlush:
     def test_one_sidecar_merge_per_batch(self, tmp_path, spec, monkeypatch):
         from repro.engine import cache as cache_module
@@ -172,23 +205,84 @@ class TestSidecarFlush:
         assert {name: sidecar[name] for name in STAGE_COUNTERS} == counters
         assert sidecar["misses"] == sidecar["stores"] == 12
 
-    def test_stage_delta_waits_for_the_flush_interval(self, tmp_path, spec):
-        from repro.engine import TieredCache
+    def test_stage_delta_waits_for_the_flush_interval(
+        self, tmp_path, spec, monkeypatch
+    ):
+        from repro.engine import cache as cache_module
 
-        cache = TieredCache(disk=ResultCache(tmp_path),
-                            stats_flush_interval_s=3600.0)
-        engine = Engine(cache=cache)
+        monkeypatch.setattr(cache_module, "COMMIT_INTERVAL_S", 3600.0)
+        engine = Engine(cache=ResultCache(tmp_path))
+        cache = engine.cache
         jobs = list(spec.jobs())
         engine.run(jobs[:6])  # the first flush is due at once
-        first = _sidecar_counters(tmp_path)
+        first = _stored_counters(tmp_path)
         assert first["physical_evals"] > 0
         engine.run(jobs[6:])  # inside the interval: nothing merged
-        assert _sidecar_counters(tmp_path) == first
+        assert _stored_counters(tmp_path) == first
         cache.flush_stats(force=True)  # drains every tier
         sidecar = _sidecar_counters(tmp_path)
         counters = engine.stage_counters()
         assert {name: sidecar[name] for name in STAGE_COUNTERS} == counters
         assert sidecar["misses"] == sidecar["stores"] == 12
+
+    def test_back_to_back_batches_merge_once(self, tmp_path, monkeypatch):
+        merges = _count_merges(monkeypatch)
+        # However slow the host, the 20 batches fall inside one interval.
+        monkeypatch.setattr(time, "monotonic", lambda: 0.0)
+        points = [
+            Scenario(capacity_mib=capacity, flow=flow, bandwidth=bandwidth)
+            for capacity in (1, 2, 4, 8) for flow in ("2D", "3D")
+            for bandwidth in (2, 4, 8, 16, 32)
+        ]
+        engine = Engine(cache=ResultCache(tmp_path))
+        for start in range(0, len(points), 2):
+            engine.run(points[start:start + 2])
+        assert len(merges) == 1  # the first batch's, due at once
+        sidecar = _sidecar_counters(tmp_path)
+        assert sidecar["misses"] == engine.cache.misses == 40
+        assert sidecar["stores"] == engine.cache.stores == 40
+        counters = engine.stage_counters()
+        assert {name: sidecar[name] for name in STAGE_COUNTERS} == counters
+
+    def test_threads_hand_over_every_count(self, tmp_path):
+        # Every thread's cache hands its misses to the directory's one
+        # accumulator while the others merge it: no update may be lost.
+        def count_misses():
+            cache = TieredCache(disk=ResultCache(tmp_path))
+            for i in range(200):
+                cache.get(f"miss-{threading.get_ident()}-{i}")
+                cache.flush_stats()
+
+        _race(count_misses)
+        assert cache_stats(tmp_path)["misses"] == 8 * 200
+
+    def test_threads_share_one_process_wide_memo(self, tmp_path):
+        # A second memo would count lookups its directory never merges.
+        barrier = threading.Barrier(8)
+        memos = []
+
+        def open_memo():
+            barrier.wait(timeout=60)
+            memos.append(stage_cache_for(tmp_path))
+
+        _race(open_memo)
+        assert len(memos) == 8
+        assert all(memo is memos[0] for memo in memos)
+
+
+def _race(target, threads: int = 8) -> None:
+    """Run ``target`` on ``threads`` threads switching every microsecond."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=target) for _ in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
 
 
 class TestMaintenance:
@@ -215,6 +309,31 @@ class TestMaintenance:
         assert removed > 0
         assert not stage_file.exists()
         assert cache_stats(tmp_path)["stage_entries"] == 0
+
+    def test_clear_drops_this_process_unmerged_counts(self, tmp_path):
+        # A batch, then a bare pipeline's growth on the process-wide
+        # memo, then a clear: nothing may bring the counters back at exit.
+        script = textwrap.dedent(f"""
+            from repro.api import Pipeline, Scenario
+            from repro.engine import Engine, cache_clear
+            from repro.engine.cache import stage_cache_for
+            from repro.sweep import ResultCache
+
+            root = {str(tmp_path)!r}
+            Engine(cache=ResultCache(root)).run(
+                [Scenario(capacity_mib=1, flow="2D")])
+            Pipeline(stage_cache=stage_cache_for(root)).run(
+                Scenario(capacity_mib=2, flow="3D"))
+            cache_clear(root)
+        """)
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        subprocess.run([sys.executable, "-c", script], env=env,
+                       check=True, timeout=120)
+        assert not (tmp_path / "stats.json").exists()
 
     def test_cli_cache_stats_prints_stage_counters(self, tmp_path, capsys):
         from repro.__main__ import main
