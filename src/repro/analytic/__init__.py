@@ -1,7 +1,7 @@
 """Tier-0: calibrated closed-form performance models.
 
 The third evaluation tier, beside the reference and fast simulators.
-Every registered workload gets a pure closed-form predictor ``T = setup
+Every simulated workload gets a pure closed-form predictor ``T = setup
 + inner_iters x cycles_per_iter x overhead_factor``
 (:mod:`repro.analytic.models`) whose overhead factors are
 auto-calibrated against FastEngine runs
@@ -10,7 +10,9 @@ stage cache (:mod:`repro.analytic.store`), and served through
 ``engine="analytic"`` (:mod:`repro.analytic.tier`).  Predictions carry a
 declared relative-error bound; calibrations that miss their bound are
 refused at prediction time and the evaluation falls back to the fast
-engine.
+engine.  A workload without a predictor — ``matmul``, whose plugin is
+already the closed-form phase model — is evaluated by its plugin on
+this tier too, under the fast tier's keys.
 """
 
 from .models import AnalyticTerms

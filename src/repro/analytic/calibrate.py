@@ -6,10 +6,8 @@ The calibration protocol for a (workload, arch-class):
    from the requesting scenario only in problem size (``matrix_dim``,
    tile re-derived), so the arch-class — cores, capacity, word size,
    arch overrides — is held fixed.
-2. Measure each with the workload's tier-1 evaluation (the registered
-   plugin, which for the simulated kernels *is* FastEngine; blocked
-   matmul runs :func:`repro.kernels.matmul.run_matmul` on FastEngine
-   because its plugin is the paper's phase model, not a simulation).
+2. Measure each with the workload's tier-1 evaluation: the registered
+   plugin, which for the simulated kernels *is* FastEngine.
 3. Least-squares fit ``measured = setup_cal + factor x work
    (+ contention_factor x contention)`` over the calibration dims —
    ``work`` and ``contention`` come from the predictor's
@@ -20,15 +18,18 @@ The calibration protocol for a (workload, arch-class):
 
 The fit deliberately regresses the *calibrated portion* only: each
 measurement has the predictor's analytic ``setup`` term subtracted
-first (zero for the built-in simulated kernels; for matmul the
-FastEngine run contains no DMA/overhead/writeback phases by
-construction), so the fitted constant absorbs prologue and barrier cost
-while the exact phase arithmetic stays analytic.
+first (zero for the built-in kernels), so the fitted constant absorbs
+prologue and barrier cost while any exact phase arithmetic stays
+analytic.
+
+:func:`calibrate` and :func:`ensure_calibrated` derive the dims and the
+content key in one place (:func:`_question`), so a fit is always stored
+under the key the next lookup reads.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, NamedTuple
 
 from ..api.registry import PREDICTORS, WORKLOADS
 from .store import (
@@ -39,42 +40,35 @@ from .store import (
 )
 
 
-def _measure_plugin(workload: str, scenario, terms) -> float:
-    """Tier-1 measurement of the calibrated portion via the plugin.
+class _Question(NamedTuple):
+    """One (workload, arch-class) calibration question and its address."""
 
-    The plugin measures the whole kernel; the predictor's analytic
-    ``setup`` (zero for the built-in simulated kernels) is subtracted so
-    only the fitted portion is regressed.
+    predictor: Callable
+    calibration_dims: tuple[int, ...]
+    probe_dims: tuple[int, ...]
+    arch_class: dict
+    model_version: str
+    key: str
+
+
+def _question(workload: str, scenario) -> _Question:
+    """What a scenario asks of its workload's predictor, and its key.
+
+    The probe dims default to the calibration dims when the predictor
+    declares none.
     """
-    return float(WORKLOADS.get(workload)(scenario)) - terms.setup
+    from ..api.scenario import CODE_MODEL_VERSION
 
-
-def _measure_matmul(workload: str, scenario, terms) -> float:
-    """Blocked matmul on FastEngine (the plugin is the phase model).
-
-    The simulated kernel runs on SPM-resident data — no DMA, phase
-    overhead, or writeback — so it *is* the calibrated compute portion;
-    the predictor's phase-model ``setup`` is excluded by construction.
-    """
-    from ..kernels.matmul import run_matmul
-
-    n = scenario.matrix_dim
-    cores = max(1, min(scenario.num_cores, n // 2))
-    run = run_matmul(scenario.to_config(), n, cores, blocked=True)
-    if not run.correct:
-        raise RuntimeError(
-            f"matmul calibration run failed verification at dim {n}"
-        )
-    return float(run.cycles)
-
-
-#: Workload name -> measurement override.  Workloads not listed here
-#: calibrate against their registered plugin, so a custom
-#: ``@register_workload`` + ``@register_predictor`` pair gets fitted
-#: for free.
-_MEASURERS: dict[str, Callable[[str, object, object], float]] = {
-    "matmul": _measure_matmul,
-}
+    predictor = PREDICTORS.get(workload)
+    cal_dims = tuple(getattr(predictor, "calibration_dims", ()) or ())
+    probe_dims = tuple(getattr(predictor, "probe_dims", ()) or ()) or cal_dims
+    arch_class = arch_class_of(scenario)
+    key = calibration_key(
+        workload, arch_class, cal_dims, probe_dims, CODE_MODEL_VERSION
+    )
+    return _Question(
+        predictor, cal_dims, probe_dims, arch_class, CODE_MODEL_VERSION, key
+    )
 
 
 def _solve(matrix: list[list[float]], rhs: list[float]) -> list[float]:
@@ -108,19 +102,13 @@ def _least_squares(
     return _solve(ata, aty)
 
 
-def calibrate(
-    workload: str,
-    scenario,
-    measure: Optional[Callable[[str, object, object], float]] = None,
-) -> CalibrationRecord:
+def calibrate(workload: str, scenario) -> CalibrationRecord:
     """Fit one (workload, arch-class) calibration from scratch.
 
     Args:
         workload: Registered predictor name.
         scenario: Any scenario of the target arch-class (its problem
             size is ignored; the declared calibration dims are used).
-        measure: Measurement override (tests); defaults to the
-            workload's protocol measurer.
 
     Returns:
         The fitted record, residual summary included.  The record is
@@ -130,36 +118,31 @@ def calibrate(
         ValueError: If the predictor declares too few calibration dims
             for its regressor count.
     """
-    from ..api.scenario import CODE_MODEL_VERSION
-
-    predictor = PREDICTORS.get(workload)
-    cal_dims = tuple(getattr(predictor, "calibration_dims", ()) or ())
-    probe_dims = tuple(getattr(predictor, "probe_dims", ()) or ()) or cal_dims
+    question = _question(workload, scenario)
+    predictor = question.predictor
+    cal_dims, probe_dims = question.calibration_dims, question.probe_dims
     error_bound = float(getattr(predictor, "error_bound", 0.05))
-    if measure is None:
-        measure = _MEASURERS.get(workload, _measure_plugin)
 
-    def sample(dim: int) -> tuple[object, float, float, float]:
+    def sample(dim: int) -> tuple[float, float, float]:
         cal_scenario = scenario.replace(
             workload=workload, matrix_dim=dim, tile_size=None
         )
         terms = predictor(cal_scenario)
-        measured = measure(workload, cal_scenario, terms)
-        return terms, terms.work, terms.contention, measured
+        # The plugin measures the whole kernel; the predictor's analytic
+        # setup is subtracted so only the fitted portion is regressed.
+        measured = float(WORKLOADS.get(workload)(cal_scenario)) - terms.setup
+        return terms.work, terms.contention, measured
 
     points = [sample(dim) for dim in cal_dims]
-    with_contention = any(z != 0.0 for _, _, z, _ in points)
+    with_contention = any(z != 0.0 for _, z, _ in points)
     params = 3 if with_contention else 2
     if len(points) < params:
         raise ValueError(
             f"predictor {workload!r} declares {len(cal_dims)} calibration "
             f"dims but its fit needs at least {params}"
         )
-    rows = [
-        (1.0, x, z) if with_contention else (1.0, x)
-        for _, x, z, _ in points
-    ]
-    targets = [y for _, _, _, y in points]
+    rows = [(1.0, x, z) if with_contention else (1.0, x) for x, z, _ in points]
+    targets = [y for _, _, y in points]
     coefficients = _least_squares(rows, targets)
     setup_cal, factor = coefficients[0], coefficients[1]
     contention_factor = coefficients[2] if with_contention else 0.0
@@ -168,23 +151,20 @@ def calibrate(
         return setup_cal + factor * x + contention_factor * z
 
     residuals: dict[str, float] = {}
-    for dim, (_, x, z, y) in zip(cal_dims, points):
+    for dim, (x, z, y) in zip(cal_dims, points):
         residuals[str(dim)] = (predicted(x, z) - y) / y if y else 0.0
     probe_errors: list[float] = []
     for dim in probe_dims:
-        _, x, z, y = sample(dim)
+        x, z, y = sample(dim)
         err = (predicted(x, z) - y) / y if y else 0.0
         residuals[str(dim)] = err
         probe_errors.append(abs(err))
 
-    arch_class = arch_class_of(scenario)
     return CalibrationRecord(
-        key=calibration_key(
-            workload, arch_class, cal_dims, probe_dims, CODE_MODEL_VERSION
-        ),
+        key=question.key,
         workload=workload,
-        arch_class=arch_class,
-        model_version=CODE_MODEL_VERSION,
+        arch_class=question.arch_class,
+        model_version=question.model_version,
         calibration_dims=cal_dims,
         probe_dims=probe_dims,
         setup_cycles=float(setup_cal),
@@ -206,18 +186,7 @@ def ensure_calibrated(
         fit (a fresh or stale-replacing calibration), False on a store
         hit.
     """
-    from ..api.scenario import CODE_MODEL_VERSION
-
-    predictor = PREDICTORS.get(workload)
-    key = calibration_key(
-        workload,
-        arch_class_of(scenario),
-        tuple(getattr(predictor, "calibration_dims", ()) or ()),
-        tuple(getattr(predictor, "probe_dims", ()) or ())
-        or tuple(getattr(predictor, "calibration_dims", ()) or ()),
-        CODE_MODEL_VERSION,
-    )
-    record = store.get(key)
+    record = store.get(_question(workload, scenario).key)
     if record is not None:
         return record, False
     record = calibrate(workload, scenario)

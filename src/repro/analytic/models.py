@@ -1,4 +1,4 @@
-"""Closed-form tier-0 predictors for the built-in kernel zoo.
+"""Closed-form tier-0 predictors for the simulated kernels.
 
 Each predictor maps a :class:`~repro.api.scenario.Scenario` to
 :class:`AnalyticTerms`: the phase decomposition
@@ -14,6 +14,10 @@ critical path is the core with ``ceil(work / cores)`` trips), and
 ``cycles_per_iter`` is the instruction count of one trip read straight
 off the SPMD program builders in :mod:`repro.kernels.workloads` —
 the fitted factor is therefore an effective CPI.
+
+``matmul`` has no predictor: its plugin is already the paper's
+closed-form phase model (:mod:`repro.kernels.phases`), so every tier
+serves it the same number under the same keys.
 
 This module is the REP009 contract surface: predictors must stay pure
 tier-0 — no ``repro.simulator`` imports, no nondeterminism, and only
@@ -35,9 +39,10 @@ class AnalyticTerms:
 
     Attributes:
         setup: Cycles outside the calibrated inner loop that the model
-            derives exactly (e.g. the matmul phase model's memory,
-            overhead, and writeback phases).  The calibration adds a
-            fitted constant on top, absorbing prologue and barrier cost.
+            derives exactly (e.g. a custom kernel's DMA transfer at a
+            known bandwidth; zero for the built-in kernels).  The
+            calibration adds a fitted constant on top, absorbing
+            prologue and barrier cost.
         inner_iters: Busiest-core inner-loop trip count.
         cycles_per_iter: Instructions issued per trip (the per-trip
             cycle cost before the fitted CPI-like overhead factor).
@@ -150,40 +155,4 @@ def stencil5_predictor(scenario) -> AnalyticTerms:
         setup=0.0,
         inner_iters=float(rows * out),
         cycles_per_iter=29.0 + 4.0 / out,
-    )
-
-
-@register_predictor(
-    "matmul", calibration_dims=(16, 32, 48), probe_dims=(24, 40, 56)
-)
-def matmul_predictor(scenario) -> AnalyticTerms:
-    """Blocked matmul: simulated 2x2-block compute + exact phase setup.
-
-    The inner term counts k-iterations of the blocked kernel (11
-    instructions covering 4 MACs per trip; row-pairs interleave across
-    cores, column-pair prologue amortizes as ``28/n``) and is calibrated
-    against FastEngine.  The ``setup`` term reuses the paper's phase
-    model *exactly* for everything outside compute — DMA memory phases,
-    per-phase overhead, and writeback — so bandwidth sweeps keep their
-    analytic shape while the compute CPI comes from measurement instead
-    of the assumed ``cpi_mac``.
-    """
-    from ..kernels.phases import matmul_cycles
-
-    n = max(2, scenario.matrix_dim)
-    half = n // 2
-    cores = _active_cores(scenario, half)
-    inner = float(_trips(half, cores) * half * n)
-    breakdown = matmul_cycles(
-        scenario.tiling(), scenario.memory(), scenario.phase_params()
-    )
-    setup = (
-        breakdown.memory_cycles
-        + breakdown.overhead_cycles
-        + breakdown.writeback_cycles
-    )
-    return AnalyticTerms(
-        setup=float(setup),
-        inner_iters=inner,
-        cycles_per_iter=11.0 + 28.0 / n,
     )

@@ -189,7 +189,7 @@ def _seed_workloads() -> None:
 
 def _seed_predictors() -> None:
     # Importing the analytic models runs their @register_predictor
-    # decorators (one calibrated tier-0 predictor per built-in kernel).
+    # decorators (one calibrated tier-0 predictor per simulated kernel).
     from ..analytic import models  # noqa: F401
 
 

@@ -12,15 +12,14 @@ from .._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "blocked": ("BlockedMatmulResult", "run_blocked_matmul"),
     "matmul": (
-        "MatmulLayout", "MatmulRun", "calibrate_from_simulation",
-        "matmul_program_blocked", "matmul_program_simple", "run_matmul",
+        "MatmulLayout", "MatmulRun", "matmul_program_blocked",
+        "matmul_program_simple", "run_matmul",
     ),
     "phases": (
         "DEFAULT_PHASE_PARAMS", "PhaseBreakdown", "PhaseModelParams",
         "double_buffered_cycles", "double_buffered_plan", "matmul_cycles",
         "speedup",
     ),
-    "roofline": ("arithmetic_intensity", "ridge_bandwidth", "roofline_point"),
     "transforms": ("run_reduction", "run_transpose"),
     "tiling": ("TilingPlan", "lcm_matrix_dim", "paper_tiling", "select_tile_size"),
     "workloads": (

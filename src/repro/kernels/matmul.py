@@ -7,8 +7,8 @@ Two SPMD program generators:
 * :func:`matmul_program_blocked` — the optimized shape MemPool's kernels
   use: each core produces a 2x2 block of C per inner iteration, sharing
   loaded operands across MACs (4 loads for 4 MACs) with post-incrementing
-  pointers.  This is the kernel used to calibrate the phase model's
-  effective CPI.
+  pointers.  Its measured per-core MAC CPI (:attr:`MatmulRun.cpi_mac`)
+  is the simulated counterpart of the phase model's assumed ``cpi_mac``.
 
 Both operate on n x n row-major 32-bit matrices resident in the SPM, with
 rows (or row-blocks) interleaved across cores.  :func:`run_matmul`
@@ -23,7 +23,6 @@ from ..arch.cluster import MemPoolCluster
 from ..arch.isa import Program, ProgramBuilder
 from ..core.config import MemPoolConfig
 from ..simulator.engine import run_cluster
-from .phases import PhaseModelParams
 
 
 @dataclass(frozen=True)
@@ -256,31 +255,4 @@ def run_matmul(
         instructions=result.instructions,
         correct=correct,
         cpi_mac=cpi_mac,
-    )
-
-
-def calibrate_from_simulation(
-    config: MemPoolConfig,
-    n: int = 32,
-    num_cores: int = 16,
-    phase_overhead_cycles: float = 10_000.0,
-) -> PhaseModelParams:
-    """Derive phase-model parameters from a cycle-level simulation.
-
-    Runs the blocked kernel on a small matrix and uses the measured
-    per-core MAC CPI for the phase model's compute coefficient.  The
-    phase (barrier) overhead is retained from its default — it scales with
-    the 256-core cluster's barrier latency, which small runs underestimate.
-
-    Raises:
-        RuntimeError: If the simulated kernel produced a wrong result
-            (calibration from a broken kernel would be meaningless).
-    """
-    run = run_matmul(config, n=n, num_cores=num_cores, blocked=True)
-    if not run.correct:
-        raise RuntimeError("calibration matmul produced incorrect results")
-    return PhaseModelParams(
-        cpi_mac=run.cpi_mac,
-        phase_overhead_cycles=phase_overhead_cycles,
-        num_cores=config.arch.num_cores,
     )

@@ -19,11 +19,14 @@ Cycle model per phase pair::
     compute_cycles = t^3 * cpi_mac / num_cores
     static         = phase_overhead          (barriers, loop setup)
 
-The two free parameters are calibrated against the cycle-level simulator
-(:func:`repro.kernels.matmul.calibrate_from_simulation`) and default to
-values that reproduce the paper's reported speedups (43 % for 8 MiB over
-1 MiB at 4 B/cycle, 16 % at 16 B/cycle, 8 % at 64 B/cycle):
-``cpi_mac = 2.9`` and ``phase_overhead = 10_000`` cycles.
+The two free parameters default to values that reproduce the paper's
+reported speedups (43 % for 8 MiB over 1 MiB at 4 B/cycle, 16 % at
+16 B/cycle, 8 % at 64 B/cycle): ``cpi_mac = 2.9`` and
+``phase_overhead = 10_000`` cycles.  Every evaluation tier serves
+matmul through this model with the scenario's ``cpi_mac``; the CPI a
+simulated blocked matmul measures
+(:attr:`repro.kernels.matmul.MatmulRun.cpi_mac`) enters only as such a
+setting.
 """
 
 from __future__ import annotations

@@ -12,10 +12,8 @@ from .._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "calibration": ("Calibration", "DEFAULT_CALIBRATION"),
     "cluster_level": ("ClusterImplementation", "implement_cluster"),
-    "clocktree": ("clock_tree_for_group", "synthesize_clock_tree"),
     "cost": ("CostModelParams", "analyze_cost", "cost_ratio_3d_over_2d"),
     "maps": ("cell_density_map", "routing_demand_map"),
-    "thermal": ("ThermalParams", "analyze_thermal"),
     "flow2d": ("implement_group_2d", "implement_tile_2d"),
     "flow3d": (
         "implement_group", "implement_group_3d", "implement_tile_3d",

@@ -25,9 +25,10 @@ Built-ins:
   population, binary-tournament parents, uniform crossover, per-axis
   mutation;
 * ``successive-halving`` — screens an ``eta``-times larger candidate
-  pool with the cheap analytic-matmul proxy model and promotes only the
-  Pareto-best fraction to real (budgeted, possibly simulator-backed)
-  evaluation.
+  pool on the analytic tier (calibrated predictors for the simulated
+  kernels, the closed-form matmul phase model otherwise) and promotes
+  only the Pareto-best fraction to real (budgeted, possibly
+  simulator-backed) evaluation.
 
 All strategies draw from a seeded private ``random.Random``, so a search
 trajectory replays deterministically — that, plus the content-addressed
@@ -267,9 +268,11 @@ class SuccessiveHalvingStrategy(Strategy):
     in-process; no budget spent), and promotes only the Pareto-best
     ``1/eta`` fraction to the driver's real — cached, budgeted,
     simulator-backed — evaluation.  Every workload with a registered
-    predictor screens through its *own* calibrated closed form;
-    workloads without one screen through the analytic-matmul phase
-    model, the pre-tier-0 proxy.
+    predictor screens through its *own* calibrated closed form.
+    ``matmul`` has no predictor: its plugin is the paper's phase model,
+    so it screens on the number it is promoted on.  Any other workload
+    without a predictor screens through that matmul phase model as a
+    proxy.
 
     The screen memo is keyed by the predictor registry's generation:
     registering (or unregistering) a predictor mid-process invalidates

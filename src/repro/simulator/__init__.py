@@ -10,7 +10,6 @@ the cluster or either simulator.
 from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "dma": ("DMACore", "DMARequest", "dma_fill"),
     "engine": (
         "Engine", "SIM_ENGINES", "SimulationResult", "SimulationTimeout",
         "run_cluster",

@@ -3,10 +3,12 @@
 Covers the full contract: calibration drift (re-fit from scratch must
 honour every declared error bound), stale-artifact refusal, cache-key
 separation between tiers, the pipeline/engine/CLI wiring, the analytic
-counters, and the generalized successive-halving screen.
+counters, the generalized successive-halving screen, and the one matmul
+model every tier serves.
 """
 
 import json
+import re
 
 import pytest
 
@@ -26,8 +28,7 @@ from repro.sweep import ResultCache
 
 #: Valid starting dims per workload (calibrate() swaps in its own dims).
 SEED_DIMS = {
-    "matmul": 16, "dotp": 512, "axpy": 512,
-    "conv2d": 18, "matvec": 56, "stencil5": 18,
+    "dotp": 512, "axpy": 512, "conv2d": 18, "matvec": 56, "stencil5": 18,
 }
 
 BASE = Scenario(capacity_mib=1, flow="2D", bandwidth=16.0,
@@ -53,6 +54,15 @@ def plain_workload():
 
     yield "plainw"
     WORKLOADS.unregister("plainw")
+
+
+@pytest.fixture(params=["plainw", "matmul"])
+def unpredicted_workload(request):
+    """A workload without a predictor: the ``plainw`` fixture, and
+    ``matmul``, whose plugin is already the closed-form phase model."""
+    if request.param == "plainw":
+        return request.getfixturevalue("plain_workload")
+    return request.param
 
 
 @pytest.fixture(scope="module")
@@ -160,8 +170,9 @@ class TestPredictionAccuracy:
         bound = PREDICTORS.get(workload).error_bound
         assert abs(predicted - measured) / measured <= bound
 
-    def test_workload_without_predictor_falls_back(self, plain_workload):
-        scenario = BASE.replace(workload=plain_workload, matrix_dim=512,
+    def test_workload_without_predictor_falls_back(self,
+                                                   unpredicted_workload):
+        scenario = BASE.replace(workload=unpredicted_workload, matrix_dim=512,
                                 tile_size=None)
         assert predict_cycles(scenario) is None
 
@@ -182,9 +193,9 @@ class TestKeySeparation:
         assert BASE.cycles_key_for("fast") == default_cycles
 
     def test_workloads_without_predictor_keep_default_keys(
-        self, plain_workload
+        self, unpredicted_workload
     ):
-        scenario = BASE.replace(workload=plain_workload, matrix_dim=512,
+        scenario = BASE.replace(workload=unpredicted_workload, matrix_dim=512,
                                 tile_size=None)
         assert not scenario.predicted_by("analytic")
         assert scenario.cache_key_for("analytic") == scenario.cache_key
@@ -421,8 +432,9 @@ class TestCli:
     def test_list_predictors(self, capsys):
         assert main(["list", "predictors"]) == 0
         out = capsys.readouterr().out
-        for name in ("matmul", "dotp", "matvec", "stencil5"):
+        for name in ("dotp", "axpy", "conv2d", "matvec", "stencil5"):
             assert name in out
+        assert "matmul" not in out
 
     def test_cache_stats_prints_analytic_counters(self, tmp_path, capsys):
         assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
@@ -460,3 +472,29 @@ class TestCli:
                      "--sim-engine", "analytic"]) == 0
         predicted = Pipeline(engine="analytic").run(scenario).cycles
         assert f"cycles:          {predicted:10.3e}" in capsys.readouterr().out
+
+
+class TestOneMatmulModel:
+    def test_paper_grid_on_analytic_is_the_fast_tier_grid(self, tmp_path,
+                                                          capsys):
+        """Matmul has no predictor, so the analytic tier serves the
+        paper grid through the phase model: the fast tier's report,
+        store, records and stage memos, and no calibration fitted."""
+
+        def sweep(name, *options):
+            argv = ["sweep", "--bandwidths", "2,4,8,16,32,64,128",
+                    "--cache-dir", str(tmp_path / name),
+                    "--store", str(tmp_path / f"{name}.jsonl"), *options]
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            return re.sub(r" in [0-9.]+s$", " in <s>", out, flags=re.M)
+
+        fast_out = sweep("fast")
+        tier0_out = sweep("analytic", "--sim-engine", "analytic")
+        assert "56 jobs: 0 cached, 56 evaluated, 0 failed in <s>" in tier0_out
+        assert tier0_out == fast_out
+        for name in ("{}.jsonl", "{}/results.jsonl", "{}/stages.jsonl"):
+            assert (tmp_path / name.format("analytic")).read_bytes() == (
+                tmp_path / name.format("fast")
+            ).read_bytes()
+        assert not (tmp_path / "analytic" / CalibrationStore.FILENAME).exists()

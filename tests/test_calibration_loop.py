@@ -1,24 +1,29 @@
 """Closing the loop: Figure 6 rebuilt from simulator-calibrated parameters.
 
 The default phase model uses paper-fitted constants (CPI 2.9, 10 k-cycle
-overhead).  This test recalibrates the CPI from an actual cycle-level
-simulation (:func:`calibrate_from_simulation`) and verifies the paper's
-qualitative Figure 6 conclusions survive: absolute speedups shift with
-the CPI, but capacity always helps, bandwidth scarcity amplifies the
-benefit, and the 8-over-1 MiB ordering across bandwidths is preserved.
+overhead).  This test swaps in the CPI of an actual cycle-level
+simulation (the blocked kernel's :attr:`MatmulRun.cpi_mac`) and verifies
+the paper's qualitative Figure 6 conclusions survive: absolute speedups
+shift with the CPI, but capacity always helps, bandwidth scarcity
+amplifies the benefit, and the 8-over-1 MiB ordering across bandwidths
+is preserved.
 """
 
 import pytest
 
 from repro.core.config import Flow, MemPoolConfig
 from repro.experiments import fig6
-from repro.kernels.matmul import calibrate_from_simulation
+from repro.kernels.matmul import run_matmul
+from repro.kernels.phases import PhaseModelParams
 
 
 @pytest.fixture(scope="module")
 def calibrated_points():
     config = MemPoolConfig(capacity_mib=1, flow=Flow.FLOW_2D)
-    params = calibrate_from_simulation(config, n=16, num_cores=8)
+    run = run_matmul(config, n=16, num_cores=8, blocked=True)
+    assert run.correct
+    params = PhaseModelParams(cpi_mac=run.cpi_mac,
+                              num_cores=config.arch.num_cores)
     return fig6.run(params=params), params
 
 

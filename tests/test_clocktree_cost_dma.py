@@ -1,9 +1,8 @@
-"""Tests for the clock-tree, cost, and DMA extensions."""
+"""Tests for the yield and implementation-cost models."""
 
 import pytest
 
 from repro.core.config import Flow, MemPoolConfig
-from repro.physical.clocktree import synthesize_clock_tree
 from repro.physical.cost import (
     CostModelParams,
     analyze_cost,
@@ -13,42 +12,6 @@ from repro.physical.cost import (
 )
 from repro.physical.flow2d import implement_group_2d
 from repro.physical.flow3d import implement_group_3d
-from repro.physical.technology import DEFAULT_TECHNOLOGY, make_stack
-
-
-class TestClockTree:
-    def make(self, width=3000.0, height=3000.0, sinks=10_000):
-        return synthesize_clock_tree(
-            width, height, sinks, DEFAULT_TECHNOLOGY, make_stack("M8")
-        )
-
-    def test_structure(self):
-        tree = self.make()
-        assert tree.levels >= 2
-        assert tree.buffers > tree.levels
-        assert tree.wirelength_um > 3000.0
-
-    def test_more_sinks_deeper_tree(self):
-        small = self.make(sinks=100)
-        large = self.make(sinks=100_000)
-        assert large.levels >= small.levels
-        assert large.buffers > small.buffers
-
-    def test_bigger_die_more_wire_and_delay(self):
-        small = self.make(width=2000, height=2000)
-        large = self.make(width=4000, height=4000)
-        assert large.wirelength_um > small.wirelength_um
-        assert large.insertion_delay_ps > small.insertion_delay_ps
-
-    def test_skew_smaller_than_insertion(self):
-        tree = self.make()
-        assert 0 < tree.skew_ps < tree.insertion_delay_ps
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            self.make(width=0)
-        with pytest.raises(ValueError):
-            self.make(sinks=0)
 
 
 class TestYieldModel:
@@ -116,70 +79,3 @@ class TestCostAnalysis:
         g3, g2 = pair
         with pytest.raises(ValueError):
             cost_ratio_3d_over_2d(g2, g3)
-
-
-class TestDMA:
-    @pytest.fixture
-    def cluster(self):
-        from repro.arch.cluster import MemPoolCluster
-
-        return MemPoolCluster(MemPoolConfig(1, Flow.FLOW_2D))
-
-    def test_fill_writes_data(self, cluster):
-        from repro.simulator.dma import dma_fill
-
-        payload = [i * 7 + 1 for i in range(256)]
-        cycles = dma_fill(cluster, 0, payload, bandwidth_bytes_per_cycle=16)
-        assert cluster.read_words(0, 256) == payload
-        # 256 words at 4 words/cycle: at least 64 cycles.
-        assert cycles >= 64
-
-    def test_bandwidth_bounds_cycles(self, cluster):
-        from repro.arch.cluster import MemPoolCluster
-        from repro.simulator.dma import dma_fill
-
-        payload = list(range(512))
-        fast_cluster = MemPoolCluster(cluster.config)
-        slow = dma_fill(cluster, 0, payload, bandwidth_bytes_per_cycle=8)
-        fast = dma_fill(fast_cluster, 0, payload, bandwidth_bytes_per_cycle=64)
-        assert fast < slow
-
-    def test_readback_transfer(self, cluster):
-        from repro.simulator.dma import DMACore, DMARequest
-
-        cluster.write_words(128, [5, 6, 7, 8])
-        dma = DMACore(cluster, bandwidth_bytes_per_cycle=16)
-        request = DMARequest(spm_address=128, words=4, to_spm=False)
-        dma.enqueue(request)
-        cycle = 0
-        while not dma.halted:
-            dma.step(cycle)
-            cycle += 1
-        assert request.data == [5, 6, 7, 8]
-
-    def test_competes_with_cores_for_banks(self, cluster):
-        # A core hammering bank 0 forces DMA retries on that bank.
-        from repro.simulator.dma import DMACore, DMARequest
-
-        dma = DMACore(cluster, bandwidth_bytes_per_cycle=16)
-        dma.enqueue(DMARequest(spm_address=0, words=64, to_spm=True, data=[1] * 64))
-        cycle = 0
-        while not dma.halted:
-            # Steal bank 0 of tile 0 on even cycles before the DMA runs.
-            if cycle % 2 == 0:
-                cluster.tile(0).access(cycle, 0, 0, write=False)
-            dma.step(cycle)
-            cycle += 1
-            assert cycle < 10_000
-        assert dma.stats.stall_cycles > 0
-        assert cluster.read_words(0, 64) == [1] * 64
-
-    def test_request_validation(self):
-        from repro.simulator.dma import DMARequest
-
-        with pytest.raises(ValueError):
-            DMARequest(spm_address=2, words=4, to_spm=False)
-        with pytest.raises(ValueError):
-            DMARequest(spm_address=0, words=0, to_spm=False)
-        with pytest.raises(ValueError):
-            DMARequest(spm_address=0, words=4, to_spm=True, data=[1])

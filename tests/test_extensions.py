@@ -1,19 +1,14 @@
-"""Tests for the extension modules: transforms, roofline, thermal, latency."""
+"""Tests for the extension modules: transforms and off-chip latency."""
 
 import pytest
 
-from repro.core.config import CAPACITIES_MIB, Flow, MemPoolConfig
-from repro.kernels.roofline import arithmetic_intensity, ridge_bandwidth, roofline_point
-from repro.kernels.tiling import paper_tiling
+from repro.core.config import Flow, MemPoolConfig
 from repro.kernels.transforms import (
     reduction_program,
     run_reduction,
     run_transpose,
     transpose_program,
 )
-from repro.physical.flow2d import implement_group_2d
-from repro.physical.flow3d import implement_group_3d
-from repro.physical.thermal import ThermalParams, analyze_thermal
 from repro.simulator.memsys import OffChipMemory
 
 
@@ -60,68 +55,6 @@ class TestReduction:
     def test_rejects_non_power_of_two_cores(self):
         with pytest.raises(ValueError):
             reduction_program(64, 6, 0, 256)
-
-
-class TestRoofline:
-    def test_intensity_grows_with_tile_size(self):
-        intensities = [arithmetic_intensity(paper_tiling(c)) for c in CAPACITIES_MIB]
-        assert intensities == sorted(intensities)
-
-    def test_intensity_approximates_t_over_8(self):
-        plan = paper_tiling(1)  # t = 256
-        assert arithmetic_intensity(plan) == pytest.approx(256 / 8, rel=0.01)
-
-    def test_memory_bound_at_low_bandwidth(self):
-        plan = paper_tiling(1)
-        point = roofline_point(plan, OffChipMemory(bandwidth_bytes_per_cycle=2))
-        assert point.memory_bound
-        assert point.attainable_macs_per_cycle == point.bandwidth_bound_macs_per_cycle
-
-    def test_compute_bound_at_high_bandwidth(self):
-        plan = paper_tiling(8)
-        point = roofline_point(plan, OffChipMemory(bandwidth_bytes_per_cycle=64))
-        assert not point.memory_bound
-        assert point.attainable_macs_per_cycle == point.peak_macs_per_cycle
-
-    def test_ridge_bandwidth_drops_with_capacity(self):
-        # Bigger tiles need less bandwidth to saturate compute.
-        ridges = [ridge_bandwidth(paper_tiling(c)) for c in CAPACITIES_MIB]
-        assert ridges == sorted(ridges, reverse=True)
-
-    def test_ridge_consistent_with_roofline(self):
-        plan = paper_tiling(2)
-        ridge = ridge_bandwidth(plan)
-        below = roofline_point(plan, OffChipMemory(bandwidth_bytes_per_cycle=ridge * 0.9))
-        above = roofline_point(plan, OffChipMemory(bandwidth_bytes_per_cycle=ridge * 1.1))
-        assert below.memory_bound
-        assert not above.memory_bound
-
-
-class TestThermal:
-    @pytest.fixture(scope="class")
-    def pair(self):
-        g2 = implement_group_2d(MemPoolConfig(4, Flow.FLOW_2D))
-        g3 = implement_group_3d(MemPoolConfig(4, Flow.FLOW_3D))
-        return g2, g3
-
-    def test_3d_has_higher_power_density(self, pair):
-        g2, g3 = pair
-        t2, t3 = analyze_thermal(g2), analyze_thermal(g3)
-        assert t3.power_density_w_per_cm2 > t2.power_density_w_per_cm2
-
-    def test_3d_runs_hotter(self, pair):
-        g2, g3 = pair
-        assert analyze_thermal(g3).junction_c > analyze_thermal(g2).junction_c
-
-    def test_both_within_budget_at_defaults(self, pair):
-        for impl in pair:
-            report = analyze_thermal(impl)
-            assert report.within_budget
-            assert report.junction_c > DEFAULT_AMBIENT
-
-    def test_bad_params_rejected(self):
-        with pytest.raises(ValueError):
-            ThermalParams(rth_package_cm2k_per_w=-1)
 
 
 DEFAULT_AMBIENT = 45.0

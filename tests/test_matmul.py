@@ -5,11 +5,13 @@ import pytest
 from repro.core.config import ArchParams, Flow, MemPoolConfig
 from repro.kernels.matmul import (
     MatmulLayout,
-    calibrate_from_simulation,
     matmul_program_blocked,
     matmul_program_simple,
     run_matmul,
 )
+from repro.kernels.phases import PhaseModelParams, matmul_cycles
+from repro.kernels.tiling import paper_tiling
+from repro.simulator.memsys import OffChipMemory
 
 
 @pytest.fixture
@@ -89,16 +91,34 @@ class TestPrograms:
             matmul_program_blocked(layout, num_cores=0)
 
 
+def simulated_params(config, n, num_cores, **options):
+    """Phase-model parameters with the blocked kernel's simulated CPI."""
+    run = run_matmul(config, n=n, num_cores=num_cores, blocked=True)
+    assert run.correct
+    return PhaseModelParams(
+        cpi_mac=run.cpi_mac, num_cores=config.arch.num_cores, **options
+    )
+
+
 class TestCalibration:
     def test_calibration_produces_plausible_cpi(self, config):
-        params = calibrate_from_simulation(config, n=16, num_cores=8)
+        params = simulated_params(config, n=16, num_cores=8)
         # Blocking loads put the simulated CPI above the paper's optimized
         # kernel (~2.9) but it must stay within a small factor.
         assert 1.0 < params.cpi_mac < 12.0
         assert params.num_cores == 256
 
     def test_calibration_keeps_overhead(self, config):
-        params = calibrate_from_simulation(
+        params = simulated_params(
             config, n=8, num_cores=4, phase_overhead_cycles=5000.0
         )
         assert params.phase_overhead_cycles == 5000.0
+        # The simulated CPI moves the compute phase only.
+        plan = paper_tiling(1)
+        memory = OffChipMemory(bandwidth_bytes_per_cycle=16)
+        assumed = matmul_cycles(
+            plan, memory, PhaseModelParams(phase_overhead_cycles=5000.0)
+        )
+        simulated = matmul_cycles(plan, memory, params)
+        assert simulated.overhead_cycles == assumed.overhead_cycles
+        assert simulated.compute_cycles != assumed.compute_cycles

@@ -1,4 +1,4 @@
-"""Additional physical-layer tests: group clock trees, calibration overrides."""
+"""Additional physical-layer tests: calibration overrides."""
 
 import pytest
 
@@ -8,35 +8,7 @@ from repro.physical.calibration import (
     PowerCalibration,
     TimingCalibration,
 )
-from repro.physical.clocktree import clock_tree_for_group
 from repro.physical.flow2d import implement_group_2d
-from repro.physical.flow3d import implement_group_3d
-
-
-class TestGroupClockTree:
-    @pytest.fixture(scope="class")
-    def pair(self):
-        return (
-            implement_group_2d(MemPoolConfig(1, Flow.FLOW_2D)),
-            implement_group_3d(MemPoolConfig(1, Flow.FLOW_3D)),
-        )
-
-    def test_tree_covers_group(self, pair):
-        g2, _ = pair
-        tree = clock_tree_for_group(g2)
-        assert tree.wirelength_um > g2.placement.half_perimeter_um
-
-    def test_smaller_3d_group_has_cheaper_tree(self, pair):
-        g2, g3 = pair
-        t2 = clock_tree_for_group(g2)
-        t3 = clock_tree_for_group(g3)
-        assert t3.wirelength_um < t2.wirelength_um
-        assert t3.insertion_delay_ps < t2.insertion_delay_ps
-
-    def test_skew_fraction_of_period(self, pair):
-        g2, _ = pair
-        tree = clock_tree_for_group(g2)
-        assert tree.skew_ps < 0.05 * g2.timing.period_ps
 
 
 class TestCalibrationOverrides:
